@@ -21,19 +21,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import (
-    BOUND_TOL,
-    cce_gap,
-    load_joint,
-    marginal_profile,
-    nash_gap,
-    two_eps_check,
-    value_consistency_check,
-)
+from .equilibrium import BOUND_TOL, TwoEpsCheck, analyze, load_joint
 from .games import format_game, load_game, make_zero_sum, write_text_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
@@ -75,6 +68,8 @@ def cmd_gen(args) -> int:
 def cmd_learn(args) -> int:
     game = load_game(args.game)
     tol = _report_tolerance()
+    # Solved before self-play so a game beyond the LP's size limit fails at once.
+    oracle_value = exact_value(game).value
     result = self_play(
         game,
         algo=args.algo,
@@ -92,11 +87,11 @@ def cmd_learn(args) -> int:
         "avg_row_payoff": final.avg_row_payoff,
         "cce_eps": final.cce_eps,
         "game": args.game,
-        "holds_2eps": bool(final.nash_eps <= 2.0 * final.cce_eps + tol),
+        "holds_2eps": TwoEpsCheck.from_levels(final.cce_eps, final.nash_eps, tol).holds,
         "iters": args.iters,
         "log_every": args.log_every,
         "nash_eps": final.nash_eps,
-        "oracle_value": exact_value(game).value,
+        "oracle_value": oracle_value,
         "ratio": final.nash_eps / max(final.cce_eps, 1e-15),
         "seed": args.seed,
         "tolerance": tol,
@@ -115,46 +110,17 @@ def cmd_learn(args) -> int:
 def cmd_check(args) -> int:
     game = load_game(args.game)
     mu = load_joint(args.joint)
-    if mu.shape != game.shape:
-        raise ValueError(
-            f"joint distribution is {mu.rows}x{mu.cols} "
-            f"but game is {game.rows}x{game.cols}"
-        )
     tol = _report_tolerance()
-    cce = cce_gap(mu, game)
-    nash = nash_gap(marginal_profile(mu), game)
-    consistency = value_consistency_check(mu, game, tol=tol)
-    two_eps = two_eps_check(mu, game, tol=tol)
+    report = analyze(mu, game, tol=tol)
+    cce, nash = report.cce, report.nash_of_marginals
+    consistency, two_eps = report.value_consistency, report.two_eps
 
     if args.format == "json":
-        report = {
-            "cce": {
-                "epsilon": cce.epsilon,
-                "row_gain": cce.row_gain,
-                "col_gain": cce.col_gain,
-                "row_deviation": cce.row_deviation,
-                "col_deviation": cce.col_deviation,
-            },
-            "nash_of_marginals": {
-                "epsilon": nash.epsilon,
-                "row_gain": nash.row_gain,
-                "col_gain": nash.col_gain,
-                "row_deviation": nash.row_deviation,
-                "col_deviation": nash.col_deviation,
-            },
-            "value_consistency": {
-                "lhs": consistency.lhs,
-                "bound": consistency.bound,
-                "holds": consistency.holds,
-            },
-            "two_eps": {
-                "cce_eps": two_eps.cce_eps,
-                "nash_eps": two_eps.nash_eps,
-                "holds": two_eps.holds,
-            },
-            "tolerance": tol,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        fields = asdict(report)
+        fields["cce"]["epsilon"] = cce.epsilon
+        fields["nash_of_marginals"]["epsilon"] = nash.epsilon
+        fields["tolerance"] = tol
+        print(json.dumps(fields, indent=2, sort_keys=True))
     else:
         print(f"cce_eps = {cce.epsilon:.17g}")
         print(f"nash_eps = {nash.epsilon:.17g}")

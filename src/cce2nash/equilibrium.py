@@ -23,6 +23,7 @@ from .games import (
     Player,
     StrategyProfile,
     expected_utility,
+    format_matrix,
     parse_matrix,
     write_text_atomic,
 )
@@ -131,6 +132,21 @@ class TwoEpsCheck:
     nash_eps: float
     holds: bool
 
+    @classmethod
+    def from_levels(cls, cce_eps: float, nash_eps: float, tol: float) -> "TwoEpsCheck":
+        """The paper's inequality: ``nash_eps <= 2 * cce_eps``, with slack ``tol``."""
+        return cls(cce_eps=cce_eps, nash_eps=nash_eps, holds=bool(nash_eps <= 2.0 * cce_eps + tol))
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Everything ``check`` reports about a joint distribution against a game."""
+
+    cce: GapReport
+    nash_of_marginals: GapReport
+    value_consistency: ValueConsistency
+    two_eps: TwoEpsCheck
+
 
 def _check_shape(mu: JointDistribution, game: Game) -> None:
     if mu.shape != game.shape:
@@ -185,6 +201,24 @@ def deviation_value(
     return expected_utility(game, player, profile)
 
 
+def _best_deviation(
+    payoff: np.ndarray, x: np.ndarray, y: np.ndarray, base_row: float
+) -> GapReport:
+    """Best pure-deviation gains when the row player faces ``y``, the column
+    player faces ``x``, and ``base_row`` is the row player's payoff of the play
+    being deviated from."""
+    row_gains = payoff @ y - base_row
+    col_gains = -(x @ payoff) + base_row
+    row_best = int(np.argmax(row_gains))
+    col_best = int(np.argmax(col_gains))
+    return GapReport(
+        row_gain=float(row_gains[row_best]),
+        col_gain=float(col_gains[col_best]),
+        row_deviation=row_best,
+        col_deviation=col_best,
+    )
+
+
 def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     """Best fixed-deviation gains against ``mu`` for both players.
 
@@ -193,20 +227,11 @@ def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     at a pure strategy.
     """
     _check_shape(mu, game)
-    payoff = game.payoff
-    row_marg = marginal(mu, Player.ROW).probs
-    col_marg = marginal(mu, Player.COL).probs
-    base_row = float((mu.mass * payoff).sum())
-
-    row_gains = payoff @ col_marg - base_row
-    col_gains = -(row_marg @ payoff) + base_row
-    row_best = int(np.argmax(row_gains))
-    col_best = int(np.argmax(col_gains))
-    return GapReport(
-        row_gain=float(row_gains[row_best]),
-        col_gain=float(col_gains[col_best]),
-        row_deviation=row_best,
-        col_deviation=col_best,
+    return _best_deviation(
+        game.payoff,
+        marginal(mu, Player.ROW).probs,
+        marginal(mu, Player.COL).probs,
+        float((mu.mass * game.payoff).sum()),
     )
 
 
@@ -216,22 +241,30 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     Pure best responses suffice by linearity; ``epsilon`` is zero exactly at a
     Nash equilibrium and measures exploitability otherwise.
     """
-    if len(profile.row) != game.rows or len(profile.col) != game.cols:
-        raise ValueError(
-            f"profile has shape {len(profile.row)}x{len(profile.col)} "
-            f"but game is {game.rows}x{game.cols}"
-        )
-    payoff = game.payoff
     base_row = expected_utility(game, Player.ROW, profile)
-    row_gains = payoff @ profile.col.probs - base_row
-    col_gains = -(profile.row.probs @ payoff) + base_row
-    row_best = int(np.argmax(row_gains))
-    col_best = int(np.argmax(col_gains))
-    return GapReport(
-        row_gain=float(row_gains[row_best]),
-        col_gain=float(col_gains[col_best]),
-        row_deviation=row_best,
-        col_deviation=col_best,
+    return _best_deviation(game.payoff, profile.row.probs, profile.col.probs, base_row)
+
+
+def analyze(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> CheckReport:
+    """Both gaps of ``mu`` and the two bounds they must satisfy, each computed once.
+
+    The value-consistency bound compares the joint's expected payoff with its
+    marginal profile's payoff.  Only the row player is evaluated: the game is
+    zero-sum, so the column player's absolute gap is the same number (negation
+    of a negation), an identity the test suite asserts separately.
+    """
+    cce = cce_gap(mu, game)  # first: it rejects a joint whose shape is not the game's
+    profile = marginal_profile(mu)
+    nash = nash_gap(profile, game)
+    joint_value = expected_joint_utility(mu, game, Player.ROW)
+    lhs = abs(joint_value - expected_utility(game, Player.ROW, profile))
+    return CheckReport(
+        cce=cce,
+        nash_of_marginals=nash,
+        value_consistency=ValueConsistency(
+            lhs=lhs, bound=cce.epsilon, holds=bool(lhs <= cce.epsilon + tol)
+        ),
+        two_eps=TwoEpsCheck.from_levels(cce.epsilon, nash.epsilon, tol),
     )
 
 
@@ -239,29 +272,14 @@ def value_consistency_check(
     mu: JointDistribution, game: Game, tol: float = BOUND_TOL
 ) -> ValueConsistency:
     """Check that the joint's expected payoff stays within its CCE level of the
-    marginal profile's payoff.
-
-    Only the row player is evaluated: the game is zero-sum, so the column
-    player's absolute gap is the same number (negation of a negation), an
-    identity the test suite asserts separately.
-    """
-    _check_shape(mu, game)
-    joint_value = expected_joint_utility(mu, game, Player.ROW)
-    marginal_value = expected_utility(game, Player.ROW, marginal_profile(mu))
-    lhs = abs(joint_value - marginal_value)
-    bound = cce_gap(mu, game).epsilon
-    return ValueConsistency(lhs=lhs, bound=bound, holds=bool(lhs <= bound + tol))
+    marginal profile's payoff."""
+    return analyze(mu, game, tol).value_consistency
 
 
 def two_eps_check(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> TwoEpsCheck:
     """Check that the marginal profile's Nash level is at most twice the joint's
     CCE level."""
-    _check_shape(mu, game)
-    cce_eps = cce_gap(mu, game).epsilon
-    nash_eps = nash_gap(marginal_profile(mu), game).epsilon
-    return TwoEpsCheck(
-        cce_eps=cce_eps, nash_eps=nash_eps, holds=bool(nash_eps <= 2.0 * cce_eps + tol)
-    )
+    return analyze(mu, game, tol).two_eps
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +303,7 @@ def parse_joint(text: str) -> JointDistribution:
 
 
 def format_joint(mu: JointDistribution) -> str:
-    lines = [f"{mu.rows} {mu.cols}"]
-    for row in mu.mass:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return format_matrix(mu.mass)
 
 
 def load_joint(path) -> JointDistribution:

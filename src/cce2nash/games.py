@@ -135,9 +135,6 @@ class StrategyProfile:
     row: MixedStrategy
     col: MixedStrategy
 
-    def strategy(self, player: Player) -> MixedStrategy:
-        return self.row if player is Player.ROW else self.col
-
 
 def make_zero_sum(payoff) -> Game:
     """Build a zero-sum game from the row player's payoff matrix."""
@@ -248,7 +245,20 @@ def parse_matrix(text: str, what: str = "matrix") -> np.ndarray:
             out[r] = [float(v) for v in values]
         except ValueError:
             raise FormatError("invalid decimal value", lineno) from None
+    # One vectorized test keeps valid files cheap; the cell search runs only on failure.
+    if not np.isfinite(out).all():
+        r, c = np.argwhere(~np.isfinite(out))[0]
+        lineno, line = lines[1 + r]
+        raise FormatError(f"non-finite value {line.split()[c]!r}", lineno)
     return out
+
+
+def format_matrix(matrix: np.ndarray) -> str:
+    """Render a matrix in the shared text format with full round-trip precision."""
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    for row in matrix:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def parse_game(text: str) -> Game:
@@ -258,10 +268,7 @@ def parse_game(text: str) -> Game:
 
 def format_game(game: Game) -> str:
     """Render a game in its text format with full round-trip precision."""
-    lines = [f"{game.rows} {game.cols}"]
-    for row in game.payoff:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return format_matrix(game.payoff)
 
 
 def load_game(path) -> Game:

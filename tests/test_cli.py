@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cce2nash import TwoEpsCheck, load_game, save_game
+from cce2nash import TwoEpsCheck, analyze, load_game, make_zero_sum, save_game
 from cce2nash.cli import main
 from helpers import ASYM, PENNIES
 
@@ -98,6 +99,23 @@ def test_learn_runs_are_byte_identical(pennies_file, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
+    tmp_path, capsys, monkeypatch
+):
+    import cce2nash.cli as cli_mod
+
+    def no_self_play(*args, **kwargs):
+        raise AssertionError("self_play ran on a game the oracle cannot solve")
+
+    monkeypatch.setattr(cli_mod, "self_play", no_self_play)
+    game = tmp_path / "wide.txt"
+    save_game(make_zero_sum(np.zeros((3, 201))), game)
+    out = tmp_path / "run"
+    assert main(["learn", "--game", str(game), "--iters", "10", "--out", str(out)]) == 2
+    assert "200" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_learn_reports_parse_failure_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 oops\n-1 1\n")
@@ -121,6 +139,51 @@ def test_check_diagonal_pennies_holds(pennies_file, tmp_path, capsys):
     assert report["cce"]["epsilon"] == pytest.approx(1.0, abs=1e-12)
     assert report["nash_of_marginals"]["epsilon"] == pytest.approx(0.0, abs=1e-12)
     assert report["value_consistency"]["holds"] and report["two_eps"]["holds"]
+
+
+DIAG_CHECK_JSON = """\
+{
+  "cce": {
+    "col_deviation": 0,
+    "col_gain": 1.0,
+    "epsilon": 1.0,
+    "row_deviation": 0,
+    "row_gain": -1.0
+  },
+  "nash_of_marginals": {
+    "col_deviation": 0,
+    "col_gain": 0.0,
+    "epsilon": 0.0,
+    "row_deviation": 0,
+    "row_gain": 0.0
+  },
+  "tolerance": 1e-09,
+  "two_eps": {
+    "cce_eps": 1.0,
+    "holds": true,
+    "nash_eps": 0.0
+  },
+  "value_consistency": {
+    "bound": 1.0,
+    "holds": true,
+    "lhs": 1.0
+  }
+}
+"""
+
+DIAG_CHECK_TEXT = """\
+cce_eps = 1
+nash_eps = 0
+value_consistency: holds (|deviation| 1 vs bound 1)
+two_eps: holds (nash_eps 0 vs 2*cce_eps 2 + 1.0000000000000001e-09)
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("json", DIAG_CHECK_JSON), ("text", DIAG_CHECK_TEXT)])
+def test_check_output_bytes_are_pinned(pennies_file, tmp_path, capsys, fmt, expected):
+    joint = write(tmp_path, "diag.txt", DIAG_TEXT)
+    assert main(["check", "--game", pennies_file, "--joint", joint, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_uniform_product_all_zero(pennies_file, tmp_path, capsys):
@@ -154,12 +217,24 @@ def test_check_exits_one_when_a_bound_fails(pennies_file, tmp_path, monkeypatch)
     import cce2nash.cli as cli_mod
 
     joint = write(tmp_path, "diag.txt", DIAG_TEXT)
+    failing = TwoEpsCheck(cce_eps=0.0, nash_eps=1.0, holds=False)
     monkeypatch.setattr(
         cli_mod,
-        "two_eps_check",
-        lambda mu, game, tol: TwoEpsCheck(cce_eps=0.0, nash_eps=1.0, holds=False),
+        "analyze",
+        lambda mu, game, tol: replace(analyze(mu, game, tol), two_eps=failing),
     )
     assert main(["check", "--game", pennies_file, "--joint", joint]) == 1
+
+
+@pytest.mark.parametrize("game_text, joint_text, line", [
+    ("2 2\n1 -1\n-1 nan\n", DIAG_TEXT, 3),
+    (PENNIES_TEXT, "2 2\n0.5 inf\n0 0.5\n", 2),
+], ids=["game", "joint"])
+def test_check_names_the_line_of_a_non_finite_value(tmp_path, capsys, game_text, joint_text, line):
+    game = write(tmp_path, "g.txt", game_text)
+    joint = write(tmp_path, "mu.txt", joint_text)
+    assert main(["check", "--game", game, "--joint", joint]) == 2
+    assert f"line {line}: non-finite value" in capsys.readouterr().err
 
 
 def test_check_respects_tolerance_env_var(pennies_file, tmp_path, monkeypatch, capsys):

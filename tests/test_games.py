@@ -17,6 +17,7 @@ from cce2nash import (
     load_game,
     make_zero_sum,
     parse_game,
+    parse_joint,
     pure_utility,
     pure_vs_mixed,
     save_game,
@@ -302,6 +303,22 @@ def test_parse_errors_carry_line_numbers():
     assert "extra data line" in str(exc.value)
     with pytest.raises(FormatError):
         parse_matrix("# only comments\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_game, "# game\n2 2\n1 -1\n-1 {}\n", 4),
+        (parse_joint, "2 2\n{} 0\n0 0.5\n", 2),
+    ],
+    ids=["game", "joint"],
+)
+def test_non_finite_values_are_rejected_with_their_line(parse, text, line, token):
+    with pytest.raises(FormatError) as exc:
+        parse(text.format(token))
+    assert exc.value.line == line
+    assert f"line {line}: non-finite value {token!r}" in str(exc.value)
 
 
 def test_save_load_round_trip(tmp_path):
