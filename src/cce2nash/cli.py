@@ -69,7 +69,7 @@ def cmd_learn(args) -> int:
     game = load_game(args.game)
     tol = _report_tolerance()
     # Solved before self-play so a game beyond the LP's size limit fails at once.
-    oracle_value = exact_value(game).value
+    oracle = exact_value(game)
     result = self_play(
         game,
         algo=args.algo,
@@ -90,8 +90,9 @@ def cmd_learn(args) -> int:
         "holds_2eps": TwoEpsCheck.from_levels(final.cce_eps, final.nash_eps, tol).holds,
         "iters": args.iters,
         "log_every": args.log_every,
+        "lp_pivots": oracle.pivots,
         "nash_eps": final.nash_eps,
-        "oracle_value": oracle_value,
+        "oracle_value": oracle.value,
         "ratio": final.nash_eps / max(final.cce_eps, 1e-15),
         "seed": args.seed,
         "tolerance": tol,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cce2nash import TwoEpsCheck, analyze, load_game, make_zero_sum, save_game
+from cce2nash import TwoEpsCheck, analyze, exact_value, load_game, make_zero_sum, save_game
 from cce2nash.cli import main
 from helpers import ASYM, PENNIES
 
@@ -62,6 +62,7 @@ def test_learn_writes_reports_and_summary(pennies_file, tmp_path, capsys):
     assert summary["holds_2eps"] is True
     assert summary["nash_eps"] <= 2.0 * summary["cce_eps"] + 1e-9
     assert summary["oracle_value"] == pytest.approx(0.0, abs=1e-9)
+    assert summary["lp_pivots"] == exact_value(PENNIES).pivots == 2
     assert summary["ratio"] == summary["nash_eps"] / max(summary["cce_eps"], 1e-15)
     csv_lines = (out / "trajectory.csv").read_text().splitlines()
     assert csv_lines[0] == "t,cce_eps,nash_eps,avg_row_payoff"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cce2nash import (
     JointDistribution,
@@ -16,6 +18,7 @@ from cce2nash import (
     marginal_profile,
     nash_gap,
 )
+from cce2nash import oracle
 from cce2nash.oracle import _simplex_max_ones
 from helpers import ASYM, PENNIES, RPS, random_game, random_joint
 
@@ -99,10 +102,107 @@ def test_exact_value_rejects_oversized_games():
         exact_value(make_zero_sum(np.zeros((201, 3))))
 
 
+def test_exact_value_rejects_a_payoff_range_of_2_to_the_1023():
+    for big in (1e308, 2.0**1022):
+        with pytest.raises(ValueError, match="rescale the game"):
+            exact_value(make_zero_sum([[big, -big], [-big, big]]))
+    sol = exact_value(make_zero_sum([[4e307, -4e307], [-4e307, 4e307]]))
+    assert abs(sol.value) <= 1e-12 * 8e307
+    assert np.allclose(sol.row_strategy.probs, [0.5, 0.5], atol=1e-12)
+
+
 def test_simplex_reports_pivot_limit():
     # the optimum of this LP has both variables basic, so one pivot cannot reach it
     with pytest.raises(SimplexLimitExceeded, match="within 1 pivot"):
         _simplex_max_ones(np.array([[1.0, 2.0], [2.0, 1.0]]), max_pivots=1)
+
+
+def _tie_heavy(rng, dim):
+    return rng.integers(-1, 2, size=(dim, dim)).astype(float)
+
+
+def _duplicated(rng, dim):
+    # every row and column copies one of dim/2 base strategies
+    half = dim // 2
+    base = rng.uniform(-1.0, 1.0, size=(half, half))
+    return base[rng.integers(0, half, dim)][:, rng.integers(0, half, dim)]
+
+
+def _nash_eps(sol, game):
+    return nash_gap(StrategyProfile(sol.row_strategy, sol.col_strategy), game).epsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 20),
+    cols=st.integers(1, 20),
+    exponent=st.floats(-8.0, 9.0),
+    offset=st.floats(-1e6, 1e6),
+)
+def test_exact_value_is_scale_invariant(seed, rows, cols, exponent, offset):
+    payoff = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, cols))
+    c = 10.0**exponent
+    # The offset is drawn in units of c: an offset far above c·range would
+    # round the scaled payoffs themselves away.
+    d = offset * c
+    scaled = make_zero_sum(c * payoff + d)
+    tol = 1e-7 * c * (float(payoff.max() - payoff.min()) or 1.0)
+    sol = exact_value(scaled)
+    assert abs(sol.value - (c * exact_value(make_zero_sum(payoff)).value + d)) <= tol
+    assert _nash_eps(sol, scaled) <= tol
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [_tie_heavy(np.random.default_rng(211), 40), _duplicated(np.random.default_rng(223), 40)],
+    ids=["tie_heavy", "duplicated"],
+)
+@pytest.mark.parametrize("run", [0, 3])
+def test_bland_fallback_reaches_the_dantzig_optimum(monkeypatch, payoff, run):
+    game = make_zero_sum(payoff)
+    dantzig = exact_value(game)
+    # run 0 prices every pivot by Bland's rule; run 3 switches back and forth
+    monkeypatch.setattr(oracle, "_DEGENERATE_RUN", run)
+    fallback = exact_value(game)
+    assert fallback.value == pytest.approx(dantzig.value, abs=1e-9)
+    for sol in (dantzig, fallback):
+        assert _nash_eps(sol, game) <= 1e-7
+
+
+def test_dantzig_takes_fewer_pivots_than_bland(monkeypatch):
+    game = make_zero_sum(np.random.default_rng(50).uniform(-1.0, 1.0, size=(50, 50)))
+    dantzig = exact_value(game).pivots
+    monkeypatch.setattr(oracle, "_DEGENERATE_RUN", 0)
+    bland = exact_value(game).pivots
+    assert (dantzig, bland) == (58, 189)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 20, 50])
+@pytest.mark.parametrize("family", ["uniform", "tie_heavy", "duplicated"])
+def test_exact_value_matches_highs(family, dim):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1000 * dim + len(family))
+    if family == "uniform":
+        payoff = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    elif family == "tie_heavy":
+        payoff = _tie_heavy(rng, dim)
+    else:
+        payoff = _duplicated(rng, dim)
+    rows, cols = payoff.shape
+    # Column player: minimize v subject to A y <= v, sum y = 1, y >= 0.
+    result = optimize.linprog(
+        c=np.r_[np.zeros(cols), 1.0],
+        A_ub=np.c_[payoff, -np.ones(rows)],
+        b_ub=np.zeros(rows),
+        A_eq=np.r_[np.ones(cols), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * cols + [(None, None)],
+        method="highs",
+    )
+    assert result.status == 0
+    tol = 1e-7 * (float(payoff.max() - payoff.min()) or 1.0)
+    assert exact_value(make_zero_sum(payoff)).value == pytest.approx(result.fun, abs=tol)
 
 
 # --- best responses -----------------------------------------------------------------
