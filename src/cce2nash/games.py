@@ -235,16 +235,17 @@ def parse_matrix(text: str, what: str = "matrix") -> np.ndarray:
         )
     if len(lines) - 1 > rows:
         raise FormatError("unexpected extra data line", lines[rows + 1][0])
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        lineno, line = lines[1 + r]
-        values = line.split()
-        if len(values) != cols:
-            raise FormatError(f"expected {cols} values, found {len(values)}", lineno)
+    # Nothing is sized by the header until every data line has matched it.
+    values = []
+    for lineno, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise FormatError(f"expected {cols} values, found {len(tokens)}", lineno)
         try:
-            out[r] = [float(v) for v in values]
+            values.append(np.fromiter(map(float, tokens), float, cols))
         except ValueError:
             raise FormatError("invalid decimal value", lineno) from None
+    out = np.array(values)
     # One vectorized test keeps valid files cheap; the cell search runs only on failure.
     if not np.isfinite(out).all():
         r, c = np.argwhere(~np.isfinite(out))[0]

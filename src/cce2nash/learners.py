@@ -19,6 +19,7 @@ from .equilibrium import (
     JointDistribution,
     cce_gap,
     expected_joint_utility,
+    marginal_profile,
     nash_gap,
 )
 from .games import Game, MixedStrategy, Player, StrategyProfile
@@ -47,7 +48,6 @@ class LearnerState:
     algo: Algo
     cumulative: np.ndarray
     t: int
-    payoff_range: float
     eta: float
 
     @classmethod
@@ -68,13 +68,32 @@ class LearnerState:
         eta = 0.0
         if algo is Algo.MULTIPLICATIVE_WEIGHTS and num_actions > 1 and payoff_range > 0:
             eta = math.sqrt(8.0 * math.log(num_actions) / horizon) / payoff_range
-        return cls(
-            algo=algo,
-            cumulative=np.zeros(num_actions),
-            t=0,
-            payoff_range=float(payoff_range),
-            eta=eta,
-        )
+        return cls(algo=algo, cumulative=np.zeros(num_actions), t=0, eta=eta)
+
+
+# The only implementation of each update rule, on raw float arrays and with no
+# validation; ``next_strategy``/``observe`` and ``self_play`` all call these.
+
+def _play(algo: Algo, cumulative: np.ndarray) -> np.ndarray:
+    if algo is Algo.MULTIPLICATIVE_WEIGHTS:
+        weights = np.exp(cumulative - cumulative.max())  # overflow guard
+        return weights / weights.sum()
+    positive = np.maximum(cumulative, 0.0)
+    total = positive.sum()
+    if total <= 0.0:
+        return np.full(len(cumulative), 1.0 / len(cumulative))
+    return positive / total
+
+
+def _update(
+    algo: Algo, eta: float, cumulative: np.ndarray, utilities: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    if algo is Algo.MULTIPLICATIVE_WEIGHTS:
+        return cumulative + eta * utilities
+    cumulative = cumulative + (utilities - float(probs @ utilities))
+    if algo is Algo.REGRET_MATCHING_PLUS:
+        cumulative = np.maximum(cumulative, 0.0)
+    return cumulative
 
 
 def next_strategy(state: LearnerState) -> MixedStrategy:
@@ -84,15 +103,7 @@ def next_strategy(state: LearnerState) -> MixedStrategy:
     and falls back to uniform when none are positive; multiplicative weights
     takes the softmax of the log-weights.
     """
-    if state.algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        shifted = state.cumulative - state.cumulative.max()  # overflow guard
-        weights = np.exp(shifted)
-        return MixedStrategy(weights / weights.sum())
-    positive = np.maximum(state.cumulative, 0.0)
-    total = positive.sum()
-    if total <= 0.0:
-        return MixedStrategy.uniform(len(state.cumulative))
-    return MixedStrategy(positive / total)
+    return MixedStrategy(_play(state.algo, state.cumulative))
 
 
 def observe(state: LearnerState, action_utilities, played: MixedStrategy) -> LearnerState:
@@ -108,13 +119,7 @@ def observe(state: LearnerState, action_utilities, played: MixedStrategy) -> Lea
         raise ValueError(f"expected {k} action utilities, got shape {utilities.shape}")
     if len(played) != k:
         raise ValueError(f"played strategy has length {len(played)}, expected {k}")
-    if state.algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        cumulative = state.cumulative + state.eta * utilities
-    else:
-        realized = float(played.probs @ utilities)
-        cumulative = state.cumulative + (utilities - realized)
-        if state.algo is Algo.REGRET_MATCHING_PLUS:
-            cumulative = np.maximum(cumulative, 0.0)
+    cumulative = _update(state.algo, state.eta, state.cumulative, utilities, played.probs)
     return replace(state, cumulative=cumulative, t=state.t + 1)
 
 
@@ -130,9 +135,9 @@ class Checkpoint:
 class SelfPlayResult:
     """Averaged play of one self-play run.
 
-    ``avg_profile`` matches the marginals of ``empirical_joint`` to within
-    accumulated float error, because both are averages of the same
-    per-iteration play.
+    ``avg_profile`` is exactly ``marginal_profile(empirical_joint)``: the
+    per-player average strategies are read off the averaged joint, so the
+    Nash gap reported for them is the one ``check`` computes for that joint.
     """
 
     empirical_joint: JointDistribution
@@ -145,17 +150,6 @@ def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     return min(idx, len(probs) - 1)
-
-
-def _snapshot(joint_acc, row_acc, col_acc):
-    # Normalizing by the accumulated float totals (rather than by t) keeps the
-    # averaged distributions summing to 1 within rounding even for long runs.
-    joint = JointDistribution(joint_acc / joint_acc.sum())
-    profile = StrategyProfile(
-        row=MixedStrategy(row_acc / row_acc.sum()),
-        col=MixedStrategy(col_acc / col_acc.sum()),
-    )
-    return joint, profile
 
 
 def self_play(
@@ -190,8 +184,8 @@ def self_play(
             defaults to ``algo`` for both.
 
     Returns:
-        :class:`SelfPlayResult` with the averaged joint distribution, the
-        averaged per-player strategies, and the checkpoint trajectory.
+        :class:`SelfPlayResult` with the averaged joint distribution, its
+        marginal profile, and the checkpoint trajectory.
     """
     algo = Algo(algo)
     col_algo = algo if col_algo is None else Algo(col_algo)
@@ -203,38 +197,34 @@ def self_play(
 
     payoff = game.payoff
     rows, cols = game.shape
-    spread = game.payoff_range
-    row_state = LearnerState.fresh(algo, rows, spread, iters)
-    col_state = LearnerState.fresh(col_algo, cols, spread, iters)
+    # The public states are built once, for their validated zeros and eta.
+    row_state = LearnerState.fresh(algo, rows, game.payoff_range, iters)
+    col_state = LearnerState.fresh(col_algo, cols, game.payoff_range, iters)
+    row_cum, col_cum = row_state.cumulative, col_state.cumulative
     rng = np.random.default_rng(seed)
 
     joint_acc = np.zeros((rows, cols))
-    row_acc = np.zeros(rows)
-    col_acc = np.zeros(cols)
     trajectory = []
 
     for t in range(1, iters + 1):
-        row_play = next_strategy(row_state)
-        col_play = next_strategy(col_state)
-        x = row_play.probs
-        y = col_play.probs
+        x = _play(algo, row_cum)
+        y = _play(col_algo, col_cum)
 
         if averaging is Averaging.EXPECTED:
             joint_acc += np.outer(x, y)
-            row_acc += x
-            col_acc += y
         else:
             r = _sample_index(rng, x)
             c = _sample_index(rng, y)
             joint_acc[r, c] += 1.0
-            row_acc[r] += 1.0
-            col_acc[c] += 1.0
 
-        row_state = observe(row_state, payoff @ y, row_play)
-        col_state = observe(col_state, -(x @ payoff), col_play)
+        row_cum = _update(algo, row_state.eta, row_cum, payoff @ y, x)
+        col_cum = _update(col_algo, col_state.eta, col_cum, -(x @ payoff), y)
 
         if t % log_every == 0 or t == iters:
-            joint, profile = _snapshot(joint_acc, row_acc, col_acc)
+            # Normalizing by the accumulated float total (rather than by t)
+            # keeps the average summing to 1 within rounding for long runs.
+            joint = JointDistribution(joint_acc / joint_acc.sum())
+            profile = marginal_profile(joint)
             trajectory.append(
                 Checkpoint(
                     t=t,
@@ -244,7 +234,7 @@ def self_play(
                 )
             )
 
-    joint, profile = _snapshot(joint_acc, row_acc, col_acc)
+    # The final round is always a checkpoint; its joint and profile are the result.
     return SelfPlayResult(
         empirical_joint=joint, avg_profile=profile, trajectory=tuple(trajectory)
     )

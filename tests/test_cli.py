@@ -238,6 +238,21 @@ def test_check_names_the_line_of_a_non_finite_value(tmp_path, capsys, game_text,
     assert f"line {line}: non-finite value" in capsys.readouterr().err
 
 
+HUGE_HEADER_TEXT = "1 1000000000000000000\n1\n"
+
+
+@pytest.mark.parametrize("game_text, joint_text", [
+    (HUGE_HEADER_TEXT, UNIFORM_TEXT),
+    (PENNIES_TEXT, HUGE_HEADER_TEXT),
+], ids=["game", "joint"])
+def test_check_rejects_a_header_wider_than_its_data(tmp_path, capsys, game_text, joint_text):
+    # The header's width must not be allocated before a data line confirms it.
+    game = write(tmp_path, "g.txt", game_text)
+    joint = write(tmp_path, "mu.txt", joint_text)
+    assert main(["check", "--game", game, "--joint", joint]) == 2
+    assert "line 2: expected 1000000000000000000 values, found 1" in capsys.readouterr().err
+
+
 def test_check_respects_tolerance_env_var(pennies_file, tmp_path, monkeypatch, capsys):
     joint = write(tmp_path, "diag.txt", DIAG_TEXT)
     monkeypatch.setenv("CCE2NASH_TOL", "0.5")
@@ -274,6 +289,12 @@ def test_value_one_by_one(tmp_path, capsys):
     game = write(tmp_path, "c.txt", "1 1\n0.125\n")
     assert main(["value", "--game", game]) == 0
     assert "value = 0.125" in capsys.readouterr().out
+
+
+def test_value_rejects_a_header_wider_than_its_data(tmp_path, capsys):
+    game = write(tmp_path, "g.txt", HUGE_HEADER_TEXT)
+    assert main(["value", "--game", game]) == 2
+    assert "line 2: expected 1000000000000000000 values, found 1" in capsys.readouterr().err
 
 
 def test_missing_game_file_is_an_error(tmp_path, capsys):

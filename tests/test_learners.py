@@ -12,7 +12,9 @@ from cce2nash import (
     Player,
     cce_gap,
     expected_joint_utility,
-    marginal,
+    make_zero_sum,
+    marginal_profile,
+    nash_gap,
     next_strategy,
     observe,
     self_play,
@@ -150,16 +152,9 @@ def test_avg_profile_matches_marginals_of_joint():
     for averaging in Averaging:
         g = random_game(rng, max_dim=6)
         result = self_play(g, Algo.REGRET_MATCHING, iters=700, seed=3, averaging=averaging)
-        assert np.allclose(
-            result.avg_profile.row.probs,
-            marginal(result.empirical_joint, Player.ROW).probs,
-            atol=1e-9,
-        )
-        assert np.allclose(
-            result.avg_profile.col.probs,
-            marginal(result.empirical_joint, Player.COL).probs,
-            atol=1e-9,
-        )
+        marginals = marginal_profile(result.empirical_joint)
+        assert np.array_equal(result.avg_profile.row.probs, marginals.row.probs)
+        assert np.array_equal(result.avg_profile.col.probs, marginals.col.probs)
 
 
 def test_trajectory_checkpoints_at_log_every_and_final():
@@ -167,9 +162,47 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     assert [c.t for c in result.trajectory] == [1000, 2000, 2500]
     final = result.trajectory[-1]
     assert final.cce_eps == cce_gap(result.empirical_joint, PENNIES).epsilon
+    # learn's nash_eps is the number check computes for the same joint
+    assert final.nash_eps == nash_gap(marginal_profile(result.empirical_joint), PENNIES).epsilon
     assert final.avg_row_payoff == expected_joint_utility(
         result.empirical_joint, PENNIES, Player.ROW
     )
+
+
+def reference_joint(game, algo, col_algo, iters, seed, averaging):
+    """Self-play through the public learner API, one validated step at a time."""
+    row = LearnerState.fresh(algo, game.rows, game.payoff_range, iters)
+    col = LearnerState.fresh(col_algo, game.cols, game.payoff_range, iters)
+    rng = np.random.default_rng(seed)
+
+    def draw(probs):  # inverse CDF of one uniform, row player first
+        index = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        return min(index, len(probs) - 1)
+
+    acc = np.zeros(game.shape)
+    for _ in range(iters):
+        x, y = next_strategy(row), next_strategy(col)
+        if averaging is Averaging.EXPECTED:
+            acc += np.outer(x.probs, y.probs)
+        else:
+            acc[draw(x.probs), draw(y.probs)] += 1.0
+        row = observe(row, game.payoff @ y.probs, x)
+        col = observe(col, -(x.probs @ game.payoff), y)
+    return acc / acc.sum()
+
+
+@pytest.mark.parametrize("averaging", list(Averaging))
+@pytest.mark.parametrize("algo, col_algo", [
+    (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
+    (Algo.REGRET_MATCHING_PLUS, Algo.REGRET_MATCHING_PLUS),
+    (Algo.MULTIPLICATIVE_WEIGHTS, Algo.MULTIPLICATIVE_WEIGHTS),
+    (Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS),
+])
+def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, averaging):
+    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
+    result = self_play(g, algo, iters=300, seed=4, averaging=averaging, col_algo=col_algo)
+    expected = reference_joint(g, algo, col_algo, 300, 4, averaging)
+    assert np.array_equal(result.empirical_joint.mass, expected)
 
 
 def test_two_eps_bound_holds_along_the_trajectory():
