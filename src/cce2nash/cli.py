@@ -17,6 +17,7 @@ tolerances (probabilities summing to one, etc.) are fixed and unaffected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -154,6 +155,9 @@ def cmd_value(args) -> int:
     return 0
 
 
+# Built on the first call and reused for the life of the process; nothing
+# mutates it once built.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cce2nash",

@@ -11,7 +11,6 @@ expected utility is linear in each player's own strategy.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .games import (
     StrategyProfile,
     expected_utility,
     format_matrix,
+    load_file,
     parse_matrix,
     write_text_atomic,
 )
@@ -56,7 +56,7 @@ class JointDistribution:
         neg = np.argwhere(arr < 0)
         if neg.size:
             r, c = neg[0]
-            raise ValueError(f"negative mass {arr[r, c]!r} at cell ({r}, {c})")
+            raise ValueError(f"negative mass {float(arr[r, c])!r} at cell ({r}, {c})")
         total = float(arr.sum())
         if abs(total - 1.0) > sum_tol:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {sum_tol}")
@@ -292,7 +292,7 @@ def parse_joint(text: str) -> JointDistribution:
     neg = np.argwhere(mass < 0)
     if neg.size:
         r, c = neg[0]
-        raise FormatError(f"negative mass {mass[r, c]!r} at cell ({r}, {c})")
+        raise FormatError(f"negative mass {float(mass[r, c])!r} at cell ({r}, {c})")
     total = float(mass.sum())
     if abs(total - 1.0) > JOINT_FILE_SUM_TOL:
         raise FormatError(
@@ -307,7 +307,7 @@ def format_joint(mu: JointDistribution) -> str:
 
 
 def load_joint(path) -> JointDistribution:
-    return parse_joint(Path(path).read_text(encoding="utf-8"))
+    return load_file(path, parse_joint)
 
 
 def save_joint(mu: JointDistribution, path) -> None:

@@ -100,7 +100,7 @@ class MixedStrategy:
             raise ValueError("probs must be finite")
         if (arr < 0).any():
             i = int(np.argmax(arr < 0))
-            raise ValueError(f"negative probability {arr[i]!r} at index {i}")
+            raise ValueError(f"negative probability {float(arr[i])!r} at index {i}")
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
@@ -164,8 +164,8 @@ def from_constant_sum(payoff_row, payoff_col) -> Game:
     if sums[hi] - sums[lo] > CONSTANT_SUM_TOL:
         raise ValueError(
             "cell sums are not constant: "
-            f"cell ({hi[0]}, {hi[1]}) sums to {sums[hi]!r} "
-            f"but cell ({lo[0]}, {lo[1]}) sums to {sums[lo]!r}"
+            f"cell ({hi[0]}, {hi[1]}) sums to {float(sums[hi])!r} "
+            f"but cell ({lo[0]}, {lo[1]}) sums to {float(sums[lo])!r}"
         )
     c0 = float(sums.mean())
     return Game(row - c0 / 2.0, offset=c0 / 2.0)
@@ -235,17 +235,26 @@ def parse_matrix(text: str, what: str = "matrix") -> np.ndarray:
         )
     if len(lines) - 1 > rows:
         raise FormatError("unexpected extra data line", lines[rows + 1][0])
-    # Nothing is sized by the header until every data line has matched it.
-    values = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != cols:
-            raise FormatError(f"expected {cols} values, found {len(tokens)}", lineno)
-        try:
-            values.append(np.fromiter(map(float, tokens), float, cols))
-        except ValueError:
-            raise FormatError("invalid decimal value", lineno) from None
-    out = np.array(values)
+    # numpy sizes its result by the data, not the header, and reads each field
+    # as float() does, bar spellings it refuses (`1_0`, non-ASCII digits).  On a
+    # refusal or a shape mismatch the per-line loop reads the data again: it is
+    # the only source of errors, and it checks each line's value count before
+    # converting, so nothing is sized by the header there either.
+    try:
+        out = np.loadtxt([line for _, line in lines[1:]], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        out = None
+    if out is None or out.shape != (rows, cols):
+        values = []
+        for lineno, line in lines[1:]:
+            tokens = line.split()
+            if len(tokens) != cols:
+                raise FormatError(f"expected {cols} values, found {len(tokens)}", lineno)
+            try:
+                values.append(np.fromiter(map(float, tokens), float, cols))
+            except ValueError:
+                raise FormatError("invalid decimal value", lineno) from None
+        out = np.array(values)
     # One vectorized test keeps valid files cheap; the cell search runs only on failure.
     if not np.isfinite(out).all():
         r, c = np.argwhere(~np.isfinite(out))[0]
@@ -256,9 +265,12 @@ def parse_matrix(text: str, what: str = "matrix") -> np.ndarray:
 
 def format_matrix(matrix: np.ndarray) -> str:
     """Render a matrix in the shared text format with full round-trip precision."""
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
-    for row in matrix:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    rows, cols = matrix.shape
+    # One template formats a whole row in C.  Row by row, so no Python float
+    # exists for every cell at once.
+    template = " ".join(["%.17g"] * cols)
+    lines = [f"{rows} {cols}"]
+    lines.extend(template % tuple(row) for row in matrix)
     return "\n".join(lines) + "\n"
 
 
@@ -272,8 +284,17 @@ def format_game(game: Game) -> str:
     return format_matrix(game.payoff)
 
 
+def load_file(path, parse):
+    """Read a UTF-8 file and ``parse`` its text; a FormatError names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except FormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_game(path) -> Game:
-    return parse_game(Path(path).read_text(encoding="utf-8"))
+    return load_file(path, parse_game)
 
 
 def save_game(game: Game, path) -> None:

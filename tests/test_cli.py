@@ -121,7 +121,9 @@ def test_learn_reports_parse_failure_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2\n1 oops\n-1 1\n")
     assert main(["learn", "--game", str(bad), "--iters", "10", "--out", str(tmp_path / "o")]) == 2
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert err == f"error: {bad}: line 2: invalid decimal value\n"
 
 
 # --- check -------------------------------------------------------------------------
@@ -253,6 +255,21 @@ def test_check_rejects_a_header_wider_than_its_data(tmp_path, capsys, game_text,
     assert "line 2: expected 1000000000000000000 values, found 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["game", "joint"])
+def test_check_parse_error_names_the_file(pennies_file, tmp_path, capsys, bad):
+    broken = write(tmp_path, "broken.txt", "2 2\n0.5 x\n0 0.5\n")
+    game = broken if bad == "game" else pennies_file
+    joint = broken if bad == "joint" else write(tmp_path, "diag.txt", DIAG_TEXT)
+    assert main(["check", "--game", game, "--joint", joint]) == 2
+    assert capsys.readouterr().err == f"error: {broken}: line 2: invalid decimal value\n"
+
+
+def test_check_negative_mass_error_prints_a_plain_float(pennies_file, tmp_path, capsys):
+    joint = write(tmp_path, "neg.txt", "2 2\n0.6 -0.1\n0.2 0.3\n")
+    assert main(["check", "--game", pennies_file, "--joint", joint]) == 2
+    assert capsys.readouterr().err == f"error: {joint}: negative mass -0.1 at cell (0, 1)\n"
+
+
 def test_check_respects_tolerance_env_var(pennies_file, tmp_path, monkeypatch, capsys):
     joint = write(tmp_path, "diag.txt", DIAG_TEXT)
     monkeypatch.setenv("CCE2NASH_TOL", "0.5")
@@ -297,6 +314,29 @@ def test_value_rejects_a_header_wider_than_its_data(tmp_path, capsys):
     assert "line 2: expected 1000000000000000000 values, found 1" in capsys.readouterr().err
 
 
+def test_value_parse_error_names_the_file(tmp_path, capsys):
+    game = write(tmp_path, "g.txt", "2 2\n1 -1\n-1 1 1\n")
+    assert main(["value", "--game", game]) == 2
+    assert capsys.readouterr().err == f"error: {game}: line 3: expected 2 values, found 3\n"
+
+
 def test_missing_game_file_is_an_error(tmp_path, capsys):
     assert main(["value", "--game", str(tmp_path / "nope.txt")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once_and_survives_a_rejection(pennies_file, tmp_path, capsys):
+    import cce2nash.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--game", pennies_file, "--algo", "nope", "--iters", "10",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    joint = write(tmp_path, "diag.txt", DIAG_TEXT)
+    assert main(["check", "--game", pennies_file, "--joint", joint, "--format", "json"]) == 0
+    assert capsys.readouterr().out == DIAG_CHECK_JSON

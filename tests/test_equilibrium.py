@@ -43,8 +43,9 @@ def joint_instances(draw, max_dim=8):
 
 
 def test_joint_rejects_negative_mass_naming_cell():
-    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+    with pytest.raises(ValueError, match=r"\(1, 0\)") as exc:
         JointDistribution([[0.5, 0.5], [-0.1, 0.1]])
+    assert str(exc.value) == "negative mass -0.1 at cell (1, 0)"
 
 
 def test_joint_rejects_bad_sum():
@@ -301,6 +302,20 @@ def test_joint_round_trip(tmp_path):
 def test_parse_joint_rejects_negative_mass():
     with pytest.raises(FormatError, match=r"\(0, 1\)"):
         parse_joint("2 2\n0.5 -0.1\n0.3 0.3\n")
+
+
+def test_load_joint_errors_name_the_file_and_keep_the_line(tmp_path):
+    path = tmp_path / "mu.txt"
+    path.write_text("2 2\n0.5 -0.1\n0.3 0.3\n")
+    with pytest.raises(FormatError) as exc:
+        load_joint(path)
+    assert str(exc.value) == f"{path}: negative mass -0.1 at cell (0, 1)"
+    assert exc.value.line is None
+    path.write_text("2 2\n0.5 0.5\n0 x\n")
+    with pytest.raises(FormatError) as exc:
+        load_joint(path)
+    assert str(exc.value) == f"{path}: line 3: invalid decimal value"
+    assert exc.value.line == 3
 
 
 def test_parse_joint_refuses_to_renormalize():

@@ -22,7 +22,7 @@ from cce2nash import (
     pure_vs_mixed,
     save_game,
 )
-from cce2nash.games import parse_matrix, write_text_atomic
+from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
 from helpers import ASYM, PENNIES, random_game
 
 
@@ -97,6 +97,9 @@ def test_from_constant_sum_rejection_reports_both_sums():
         from_constant_sum([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
     except ValueError as exc:
         assert "1.0" in str(exc) and "0.0" in str(exc)
+        assert str(exc) == (
+            "cell sums are not constant: cell (0, 0) sums to 1.0 but cell (0, 1) sums to 0.0"
+        )
     else:
         pytest.fail("expected rejection")
 
@@ -130,8 +133,9 @@ def test_from_constant_sum_preserves_best_response_sets():
 
 
 def test_mixed_strategy_rejects_negative_entries():
-    with pytest.raises(ValueError, match="index 1"):
+    with pytest.raises(ValueError, match="index 1") as exc:
         MixedStrategy([0.5, -0.1, 0.6])
+    assert str(exc.value) == "negative probability -0.1 at index 1"
 
 
 def test_mixed_strategy_rejects_bad_sum():
@@ -336,3 +340,143 @@ def test_write_text_atomic_replaces_and_leaves_no_droppings(tmp_path):
     write_text_atomic(path, "new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# --- codec equivalence with the per-value reference codec ---------------------
+# The writer formats one template per row and the reader parses the data lines
+# with numpy.  These references are the per-value writer and the per-line reader
+# they replaced; the codec must agree with them byte for byte and bit for bit.
+
+
+def reference_format_matrix(matrix):
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    for row in matrix:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_matrix(text, what="matrix"):
+    lines = [
+        (lineno, stripped)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
+    if not lines:
+        raise FormatError(f"empty {what}: expected a 'rows cols' header")
+    header_line, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError("expected header 'rows cols'", header_line)
+    try:
+        rows, cols = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError("expected integer dimensions 'rows cols'", header_line) from None
+    if rows < 1 or cols < 1:
+        raise FormatError(f"dimensions must be at least 1x1, got {rows}x{cols}", header_line)
+    if len(lines) - 1 < rows:
+        raise FormatError(f"expected {rows} data rows, found {len(lines) - 1}", lines[-1][0])
+    if len(lines) - 1 > rows:
+        raise FormatError("unexpected extra data line", lines[rows + 1][0])
+    values = []
+    for lineno, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise FormatError(f"expected {cols} values, found {len(tokens)}", lineno)
+        try:
+            values.append(np.fromiter(map(float, tokens), float, cols))
+        except ValueError:
+            raise FormatError("invalid decimal value", lineno) from None
+    out = np.array(values)
+    if not np.isfinite(out).all():
+        r, c = np.argwhere(~np.isfinite(out))[0]
+        lineno, line = lines[1 + r]
+        raise FormatError(f"non-finite value {line.split()[c]!r}", lineno)
+    return out
+
+
+EDGE_FLOATS = [
+    -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e16, 2.0**53 + 2, -(2.0**60), 123456789012345678.0,
+]
+finite_bits = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(math.isfinite)
+codec_floats = st.one_of(finite_bits, st.sampled_from(EDGE_FLOATS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.just(1)),
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    ),
+    data=st.data(),
+)
+def test_format_matrix_matches_the_per_value_writer(shape, data):
+    values = data.draw(st.lists(codec_floats, min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    matrix = np.array(values, dtype=float).reshape(shape)
+    text = format_matrix(matrix)
+    assert text == reference_format_matrix(matrix)
+    assert parse_matrix(text).tobytes() == matrix.tobytes()
+
+
+# Spellings only float() reads (`1_0`, non-ASCII digits), Unicode separators, a
+# vertical tab (a line break to splitlines), inline '#', CRLF, ragged and
+# missing or extra rows, a header wider than its data, and non-finite values.
+READER_CORPUS = [
+    "2 2\n1 -1\n-1 1\n",
+    "2 2\n1_0 2\n3 4\n",
+    "1 2\n\u0661 \u0662.\u0665\n",
+    "1 2\n\uff11 \uff12\n",
+    "2 3\n1\t2\t3\n4\u00a05\u30006\n",
+    "2 2\n1 2\u000b3 4\n",
+    "1 2\n1 2 # note\n",
+    "1 2\n1 2#\n",
+    "2 2\r\n1 2\r\n3 4\r\n",
+    "2 2\n1 2   \n3 4\t\n\n\n",
+    "2 2\n1 2 3\n4 5\n",
+    "2 2\n1 2\n3\n",
+    "3 2\n1 2\n3 4\n",
+    "1 2\n1 2\n3 4\n",
+    "1 1000000000000000000\n1\n",
+    "2 1000000000000000000\n1\n2\n",
+    "1 2\nnan 1\n",
+    "1 2\n1 inf\n",
+    "2 1\n1\n1e999\n",
+    "1 5\n+1 .5 1. -0 -.0\n",
+    "1 3\n1e-320 -2.5E+3 0x10\n",
+    "# c\n\n1 2\n# c\n1,5 2\n",
+    "1 2\n1 banana\n",
+    "1 1\n\u00a01\u00a0\n",
+    "2 2\n# two rows\n 0.1 0.2\n\n0.3 0.4\n",
+    "1 1\n-\n",
+    "1 3\n1e5 infinity -nan\n",
+    "2 2\n1 2\n3 \u0664\n",
+    "0 2\n",
+    "2\n1 2\n",
+    "# empty\n",
+]
+
+
+@pytest.mark.parametrize("text", READER_CORPUS)
+def test_parse_matrix_matches_the_per_line_reader(text):
+    try:
+        expected = reference_parse_matrix(text)
+    except FormatError as ref_exc:
+        with pytest.raises(FormatError) as exc:
+            parse_matrix(text)
+        assert (str(exc.value), exc.value.line) == (str(ref_exc), ref_exc.line)
+    else:
+        out = parse_matrix(text)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
+def test_load_game_errors_name_the_file_and_keep_the_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 2\n1 oops\n-1 1\n")
+    with pytest.raises(FormatError) as exc:
+        load_game(path)
+    assert str(exc.value) == f"{path}: line 2: invalid decimal value"
+    assert exc.value.line == 2
