@@ -18,9 +18,7 @@ from .equilibrium import (
     ValueConsistency,
     analyze,
     cce_gap,
-    deviation_value,
     expected_joint_utility,
-    format_joint,
     load_joint,
     marginal,
     marginal_profile,
@@ -39,31 +37,23 @@ from .games import (
     StrategyProfile,
     expected_utility,
     format_game,
-    from_constant_sum,
     load_game,
     make_zero_sum,
     parse_game,
-    pure_utility,
-    pure_vs_mixed,
     save_game,
 )
 from .learners import (
     Algo,
     Averaging,
     Checkpoint,
-    LearnerState,
     SelfPlayResult,
-    next_strategy,
-    observe,
     self_play,
     trajectory_csv,
 )
 from .oracle import (
-    BestResponse,
     BruteForceGaps,
     SimplexLimitExceeded,
     ValueSolution,
-    best_response,
     brute_force_gaps,
     exact_value,
 )
@@ -74,7 +64,6 @@ __all__ = [
     "PROB_SUM_TOL",
     "Algo",
     "Averaging",
-    "BestResponse",
     "BruteForceGaps",
     "CheckReport",
     "Checkpoint",
@@ -82,7 +71,6 @@ __all__ = [
     "Game",
     "GapReport",
     "JointDistribution",
-    "LearnerState",
     "MixedStrategy",
     "Player",
     "SelfPlayResult",
@@ -92,28 +80,20 @@ __all__ = [
     "ValueConsistency",
     "ValueSolution",
     "analyze",
-    "best_response",
     "brute_force_gaps",
     "cce_gap",
-    "deviation_value",
     "exact_value",
     "expected_joint_utility",
     "expected_utility",
     "format_game",
-    "format_joint",
-    "from_constant_sum",
     "load_game",
     "load_joint",
     "make_zero_sum",
     "marginal",
     "marginal_profile",
     "nash_gap",
-    "next_strategy",
-    "observe",
     "parse_game",
     "parse_joint",
-    "pure_utility",
-    "pure_vs_mixed",
     "save_game",
     "save_joint",
     "self_play",

@@ -179,28 +179,6 @@ def expected_joint_utility(mu: JointDistribution, game: Game, player: Player) ->
     return value if player is Player.ROW else -value
 
 
-def deviation_value(
-    mu: JointDistribution, game: Game, player: Player, deviation: MixedStrategy
-) -> float:
-    """Expected utility of committing to ``deviation`` while the opponent follows ``mu``.
-
-    In a two-player game the opponent's play under ``mu`` is fully described by
-    their marginal, so this is evaluated as ``deviation`` against the opponent's
-    marginal strategy; the direct cell-by-cell sum over ``mu`` agrees, which the
-    test suite checks against an independent oracle.
-    """
-    _check_shape(mu, game)
-    own_dim = game.rows if player is Player.ROW else game.cols
-    if len(deviation) != own_dim:
-        raise ValueError(f"deviation has length {len(deviation)}, expected {own_dim}")
-    opp_marginal = marginal(mu, player.opponent)
-    if player is Player.ROW:
-        profile = StrategyProfile(row=deviation, col=opp_marginal)
-    else:
-        profile = StrategyProfile(row=opp_marginal, col=deviation)
-    return expected_utility(game, player, profile)
-
-
 def _best_deviation(
     payoff: np.ndarray, x: np.ndarray, y: np.ndarray, base_row: float
 ) -> GapReport:
@@ -302,13 +280,9 @@ def parse_joint(text: str) -> JointDistribution:
     return JointDistribution(mass, sum_tol=JOINT_FILE_SUM_TOL)
 
 
-def format_joint(mu: JointDistribution) -> str:
-    return format_matrix(mu.mass)
-
-
 def load_joint(path) -> JointDistribution:
     return load_file(path, parse_joint)
 
 
 def save_joint(mu: JointDistribution, path) -> None:
-    write_text_atomic(path, format_joint(mu))
+    write_text_atomic(path, format_matrix(mu.mass))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,9 +15,6 @@ import numpy as np
 # representation error only; checks on accumulated arithmetic downstream use
 # the looser 1e-9.
 PROB_SUM_TOL = 1e-12
-
-# Cell sums of a constant-sum payoff pair may jitter by at most this much.
-CONSTANT_SUM_TOL = 1e-9
 
 
 class FormatError(ValueError):
@@ -33,10 +31,6 @@ class Player(Enum):
     ROW = "row"
     COL = "col"
 
-    @property
-    def opponent(self) -> "Player":
-        return Player.COL if self is Player.ROW else Player.ROW
-
 
 @dataclass(frozen=True, eq=False)
 class Game:
@@ -44,12 +38,9 @@ class Game:
 
     ``payoff[r, c]`` is the row player's utility at the pure profile ``(r, c)``;
     the column player's utility is its negation, so the two always sum to zero.
-    ``offset`` records the per-player constant removed when a constant-sum game
-    was normalized (0 for games that were zero-sum to begin with).
     """
 
     payoff: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.payoff, dtype=float)
@@ -61,7 +52,6 @@ class Game:
             raise ValueError(f"non-finite payoff entry at row {r}, column {c}")
         arr.setflags(write=False)
         object.__setattr__(self, "payoff", arr)
-        object.__setattr__(self, "offset", float(self.offset))
 
     @property
     def rows(self) -> int:
@@ -78,12 +68,13 @@ class Game:
     @property
     def payoff_range(self) -> float:
         """Spread between the largest and smallest row-player payoff."""
-        return float(self.payoff.max() - self.payoff.min())
+        # Python floats: a spread past the float range is inf, without a warning.
+        return float(self.payoff.max()) - float(self.payoff.min())
 
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
-        return np.array_equal(self.payoff, other.payoff) and self.offset == other.offset
+        return np.array_equal(self.payoff, other.payoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,42 +132,21 @@ def make_zero_sum(payoff) -> Game:
     return Game(payoff)
 
 
-def from_constant_sum(payoff_row, payoff_col) -> Game:
-    """Normalize a constant-sum payoff pair into a zero-sum :class:`Game`.
+def payoff_scale(game: Game) -> float:
+    """Smallest power of two above the payoff range, 1 for a flat game.
 
-    The matrices must satisfy ``payoff_row + payoff_col == c0`` cellwise for a
-    single constant ``c0``.  Subtracting ``c0/2`` from both players leaves every
-    deviation gain unchanged, so the normalized game is strategically identical;
-    the removed constant is kept in ``offset`` so the original payoffs stay
-    recoverable.
+    Dividing payoffs by it is exact (away from subnormals) and maps the range
+    into [0, 1), so solvers with absolute tolerances, and accumulators that
+    could overflow, see the same numbers at every scale.
+
+    Raises:
+        ValueError: if the payoff range is 2**1023 or more (the scale would
+            overflow).
     """
-    row = np.array(payoff_row, dtype=float)
-    col = np.array(payoff_col, dtype=float)
-    if row.shape != col.shape:
-        raise ValueError(f"payoff shapes differ: {row.shape} vs {col.shape}")
-    if row.ndim != 2 or row.size == 0:
-        raise ValueError("payoff must be a non-empty 2-D matrix")
-    if not (np.isfinite(row).all() and np.isfinite(col).all()):
-        raise ValueError("payoff entries must be finite")
-    sums = row + col
-    hi = np.unravel_index(int(np.argmax(sums)), sums.shape)
-    lo = np.unravel_index(int(np.argmin(sums)), sums.shape)
-    if sums[hi] - sums[lo] > CONSTANT_SUM_TOL:
-        raise ValueError(
-            "cell sums are not constant: "
-            f"cell ({hi[0]}, {hi[1]}) sums to {float(sums[hi])!r} "
-            f"but cell ({lo[0]}, {lo[1]}) sums to {float(sums[lo])!r}"
-        )
-    c0 = float(sums.mean())
-    return Game(row - c0 / 2.0, offset=c0 / 2.0)
-
-
-def pure_utility(game: Game, player: Player, row: int, col: int) -> float:
-    """Utility of ``player`` at the pure profile ``(row, col)``."""
-    if not (0 <= row < game.rows and 0 <= col < game.cols):
-        raise ValueError(f"cell ({row}, {col}) out of range for a {game.rows}x{game.cols} game")
-    value = float(game.payoff[row, col])
-    return value if player is Player.ROW else -value
+    spread = game.payoff_range
+    if not spread < 2.0**1023:
+        raise ValueError(f"payoff range {spread:g} is 2**1023 or more; rescale the game")
+    return math.ldexp(1.0, math.frexp(spread)[1])
 
 
 def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> float:
@@ -188,21 +158,6 @@ def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> fl
         )
     value = float(profile.row.probs @ game.payoff @ profile.col.probs)
     return value if player is Player.ROW else -value
-
-
-def pure_vs_mixed(game: Game, player: Player, pure: int, opponent: MixedStrategy) -> float:
-    """Expected utility of ``player`` playing ``pure`` against a mixed opponent."""
-    if player is Player.ROW:
-        if not 0 <= pure < game.rows:
-            raise ValueError(f"row index {pure} out of range for a {game.rows}x{game.cols} game")
-        if len(opponent) != game.cols:
-            raise ValueError(f"opponent strategy has length {len(opponent)}, expected {game.cols}")
-        return float(game.payoff[pure] @ opponent.probs)
-    if not 0 <= pure < game.cols:
-        raise ValueError(f"column index {pure} out of range for a {game.rows}x{game.cols} game")
-    if len(opponent) != game.rows:
-        raise ValueError(f"opponent strategy has length {len(opponent)}, expected {game.rows}")
-    return -float(opponent.probs @ game.payoff[:, pure])
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +240,22 @@ def format_game(game: Game) -> str:
 
 
 def load_file(path, parse):
-    """Read a UTF-8 file and ``parse`` its text; a FormatError names the file."""
+    """Read a UTF-8 file and ``parse`` its text; a FormatError names the file.
+
+    Bytes that are not UTF-8 are a FormatError on the line that holds them.
+    """
+    data = Path(path).read_bytes()
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # Lines are numbered as the parser numbers them (any line break counts);
+        # the bytes before the bad one decode, and "x" stands in for it.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        error = FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", line)
     except FormatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        error = exc
+    error.args = (f"{path}: {error}",)
+    raise error from None
 
 
 def load_game(path) -> Game:

@@ -10,7 +10,7 @@ therefore makes the averaged marginals an approximate Nash profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,7 @@ from .equilibrium import (
     marginal_profile,
     nash_gap,
 )
-from .games import Game, MixedStrategy, Player, StrategyProfile
+from .games import Game, Player, StrategyProfile, payoff_scale
 
 
 class Algo(Enum):
@@ -36,43 +36,8 @@ class Averaging(Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True, eq=False)
-class LearnerState:
-    """Bookkeeping for one no-external-regret learner.
-
-    ``cumulative`` holds cumulative regrets for regret matching (+) and
-    log-weights for multiplicative weights.  ``eta`` is the multiplicative
-    weights step size, 0 for the other rules.
-    """
-
-    algo: Algo
-    cumulative: np.ndarray
-    t: int
-    eta: float
-
-    @classmethod
-    def fresh(cls, algo, num_actions: int, payoff_range: float, horizon: int) -> "LearnerState":
-        """Zeroed state for a learner with ``num_actions`` actions.
-
-        For multiplicative weights the step size is fixed from the planned
-        horizon, ``eta = sqrt(8 ln k / horizon) / payoff_range``: the classic
-        fixed-horizon tuning rescaled to payoffs spanning ``payoff_range``.
-        """
-        algo = Algo(algo)
-        if num_actions < 1:
-            raise ValueError("num_actions must be at least 1")
-        if payoff_range < 0:
-            raise ValueError("payoff_range must be nonnegative")
-        if horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        eta = 0.0
-        if algo is Algo.MULTIPLICATIVE_WEIGHTS and num_actions > 1 and payoff_range > 0:
-            eta = math.sqrt(8.0 * math.log(num_actions) / horizon) / payoff_range
-        return cls(algo=algo, cumulative=np.zeros(num_actions), t=0, eta=eta)
-
-
 # The only implementation of each update rule, on raw float arrays and with no
-# validation; ``next_strategy``/``observe`` and ``self_play`` all call these.
+# validation; ``self_play`` validates its arguments and calls these.
 
 def _play(algo: Algo, cumulative: np.ndarray) -> np.ndarray:
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
@@ -96,31 +61,12 @@ def _update(
     return cumulative
 
 
-def next_strategy(state: LearnerState) -> MixedStrategy:
-    """Current strategy implied by the learner's bookkeeping.
-
-    Regret matching (+) normalizes the positive part of the cumulative regrets
-    and falls back to uniform when none are positive; multiplicative weights
-    takes the softmax of the log-weights.
-    """
-    return MixedStrategy(_play(state.algo, state.cumulative))
-
-
-def observe(state: LearnerState, action_utilities, played: MixedStrategy) -> LearnerState:
-    """Fold one round of full-information feedback into the learner.
-
-    ``action_utilities[a]`` is this player's expected utility for pure action
-    ``a`` against the opponent's current strategy; ``played`` is the strategy
-    the learner just used.  Returns the updated state; the input is unchanged.
-    """
-    utilities = np.asarray(action_utilities, dtype=float)
-    k = state.cumulative.shape[0]
-    if utilities.ndim != 1 or utilities.shape[0] != k:
-        raise ValueError(f"expected {k} action utilities, got shape {utilities.shape}")
-    if len(played) != k:
-        raise ValueError(f"played strategy has length {len(played)}, expected {k}")
-    cumulative = _update(state.algo, state.eta, state.cumulative, utilities, played.probs)
-    return replace(state, cumulative=cumulative, t=state.t + 1)
+def _eta(algo: Algo, num_actions: int, spread: float, horizon: int) -> float:
+    """Multiplicative weights step size for payoffs spanning ``spread``; 0 for
+    the other rules, a single action or a flat game."""
+    if algo is Algo.MULTIPLICATIVE_WEIGHTS and num_actions > 1 and spread > 0:
+        return math.sqrt(8.0 * math.log(num_actions) / horizon) / spread
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -172,6 +118,17 @@ def self_play(
     ``seed``) and a point mass is accumulated.  Results are deterministic
     given ``(algo, col_algo, iters, seed, averaging)``.
 
+    Regret matching (+) plays the positive part of its cumulative regrets,
+    normalized, and uniform when none is positive.  Multiplicative weights
+    plays the softmax of its log-weights, which grow by ``eta`` times each
+    round's utilities, with the fixed-horizon step size
+    ``eta = sqrt(8 ln k / iters) / range`` for a player with ``k`` actions
+    (0 when ``k = 1`` or the game is flat).  The rules see the payoffs
+    divided by :func:`~cce2nash.games.payoff_scale`, a power of two, so the
+    played strategies are those of the unscaled game, bit for bit away from
+    subnormals, and cumulative regrets cannot overflow at any payoff scale.
+    Checkpoints are measured on the original game.
+
     Args:
         game: zero-sum game to play.
         algo: update rule, an :class:`Algo` or its string value.
@@ -186,6 +143,9 @@ def self_play(
     Returns:
         :class:`SelfPlayResult` with the averaged joint distribution, its
         marginal profile, and the checkpoint trajectory.
+
+    Raises:
+        ValueError: on a bad argument, or a payoff range of 2**1023 or more.
     """
     algo = Algo(algo)
     col_algo = algo if col_algo is None else Algo(col_algo)
@@ -195,12 +155,12 @@ def self_play(
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
 
-    payoff = game.payoff
     rows, cols = game.shape
-    # The public states are built once, for their validated zeros and eta.
-    row_state = LearnerState.fresh(algo, rows, game.payoff_range, iters)
-    col_state = LearnerState.fresh(col_algo, cols, game.payoff_range, iters)
-    row_cum, col_cum = row_state.cumulative, col_state.cumulative
+    scale = payoff_scale(game)
+    payoff = game.payoff / scale
+    row_eta = _eta(algo, rows, game.payoff_range / scale, iters)
+    col_eta = _eta(col_algo, cols, game.payoff_range / scale, iters)
+    row_cum, col_cum = np.zeros(rows), np.zeros(cols)
     rng = np.random.default_rng(seed)
 
     joint_acc = np.zeros((rows, cols))
@@ -217,8 +177,8 @@ def self_play(
             c = _sample_index(rng, y)
             joint_acc[r, c] += 1.0
 
-        row_cum = _update(algo, row_state.eta, row_cum, payoff @ y, x)
-        col_cum = _update(col_algo, col_state.eta, col_cum, -(x @ payoff), y)
+        row_cum = _update(algo, row_eta, row_cum, payoff @ y, x)
+        col_cum = _update(col_algo, col_eta, col_cum, -(x @ payoff), y)
 
         if t % log_every == 0 or t == iters:
             # Normalizing by the accumulated float total (rather than by t)

@@ -1,22 +1,21 @@
-"""Ground-truth machinery: exact game values, best responses, brute-force gaps.
+"""Ground-truth machinery: exact game values and brute-force gaps.
 
 Everything here exists to check the rest of the toolkit against an independent
 computation.  The minimax value comes from a self-contained dense simplex (no
 external solver; Dantzig pricing with a Bland's-rule fallback against
-cycling), best responses from plain enumeration, and the gap reports
-from direct sums over the joint distribution that deliberately avoid the
-marginal-based formulas used in :mod:`cce2nash.equilibrium`.
+cycling), and the gap reports from direct sums over the joint distribution
+that deliberately avoid the marginal-based formulas used in
+:mod:`cce2nash.equilibrium`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import GapReport, JointDistribution
-from .games import Game, MixedStrategy, Player
+from .games import Game, MixedStrategy, payoff_scale
 
 # Simplex feasibility/optimality tolerance; downstream consumers should test
 # derived quantities at 1e-7 to absorb conditioning of the tableau arithmetic.
@@ -47,12 +46,6 @@ class ValueSolution:
     row_strategy: MixedStrategy
     col_strategy: MixedStrategy
     pivots: int
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    action: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -136,9 +129,9 @@ def exact_value(game: Game) -> ValueSolution:
     """Game value and maximin/minimax strategies via linear programming.
 
     The reduction is the textbook one, applied to payoffs mapped onto
-    [1, 2): ``B = (A − min A)/s + 1``, where ``s`` is the smallest power of
-    two above the payoff range (1 for a flat game), so the division is
-    exact.  The simplex tolerances are absolute, and this normalization makes
+    [1, 2): ``B = (A − min A)/s + 1``, where ``s = payoff_scale(game)`` is
+    the smallest power of two above the payoff range (1 for a flat game), so
+    the division is exact.  The simplex tolerances are absolute, and this normalization makes
     the result invariant to the scale and offset of ``A``.  The shifted
     value ``w`` of ``B`` satisfies ``w ≥ 1 > 0``.  The column player wants
     ``y`` minimizing ``max_r (B y)_r``; substituting ``z = y / w`` turns that
@@ -167,10 +160,7 @@ def exact_value(game: Game) -> ValueSolution:
         )
     payoff = game.payoff
     low = float(payoff.min())
-    spread = float(payoff.max()) - low
-    if not spread < 2.0**1023:
-        raise ValueError(f"payoff range {spread:g} is 2**1023 or more; rescale the game")
-    scale = math.ldexp(1.0, math.frexp(spread)[1])
+    scale = payoff_scale(game)
     z, duals, pivots = _simplex_max_ones(
         (payoff - low) / scale + 1.0, max_pivots=100 * (rows + cols + 2)
     )
@@ -184,28 +174,6 @@ def exact_value(game: Game) -> ValueSolution:
         col_strategy=MixedStrategy(z / z_total),
         pivots=pivots,
     )
-
-
-def best_response(game: Game, player, opponent: MixedStrategy) -> BestResponse:
-    """Best pure reply to ``opponent``, ties broken toward the lowest index."""
-    player = Player(player)
-    rows, cols = game.shape
-    if player is Player.ROW:
-        if len(opponent) != cols:
-            raise ValueError(
-                f"opponent strategy has {len(opponent)} entries but the column "
-                f"player has {cols} actions"
-            )
-        utilities = game.payoff @ opponent.probs
-    else:
-        if len(opponent) != rows:
-            raise ValueError(
-                f"opponent strategy has {len(opponent)} entries but the row "
-                f"player has {rows} actions"
-            )
-        utilities = -(opponent.probs @ game.payoff)
-    action = int(np.argmax(utilities))
-    return BestResponse(action=action, value=float(utilities[action]))
 
 
 def brute_force_gaps(mu: JointDistribution, game: Game) -> BruteForceGaps:

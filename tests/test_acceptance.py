@@ -17,7 +17,6 @@ from cce2nash import (
     StrategyProfile,
     brute_force_gaps,
     cce_gap,
-    deviation_value,
     exact_value,
     expected_joint_utility,
     make_zero_sum,
@@ -28,7 +27,15 @@ from cce2nash import (
     value_consistency_check,
 )
 from cce2nash.cli import main
-from helpers import ASYM, PENNIES, RPS, random_game, random_joint, random_mixed
+from helpers import (
+    ASYM,
+    PENNIES,
+    RPS,
+    deviation_value,
+    random_game,
+    random_joint,
+    random_mixed,
+)
 
 _corpus_cache = {}
 

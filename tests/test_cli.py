@@ -264,6 +264,22 @@ def test_check_parse_error_names_the_file(pennies_file, tmp_path, capsys, bad):
     assert capsys.readouterr().err == f"error: {broken}: line 2: invalid decimal value\n"
 
 
+NOT_UTF8 = b"2 2\n1 \xff\n0 1\n"
+NOT_UTF8_ERROR = "line 2: not UTF-8: invalid start byte at byte 6\n"
+
+
+@pytest.mark.parametrize("bad", ["game", "joint"])
+def test_check_names_the_file_and_line_of_bytes_that_are_not_utf8(
+    pennies_file, tmp_path, capsys, bad
+):
+    broken = tmp_path / "latin1.txt"
+    broken.write_bytes(NOT_UTF8)
+    game = str(broken) if bad == "game" else pennies_file
+    joint = str(broken) if bad == "joint" else write(tmp_path, "diag.txt", DIAG_TEXT)
+    assert main(["check", "--game", game, "--joint", joint]) == 2
+    assert capsys.readouterr().err == f"error: {broken}: {NOT_UTF8_ERROR}"
+
+
 def test_check_negative_mass_error_prints_a_plain_float(pennies_file, tmp_path, capsys):
     joint = write(tmp_path, "neg.txt", "2 2\n0.6 -0.1\n0.2 0.3\n")
     assert main(["check", "--game", pennies_file, "--joint", joint]) == 2
@@ -318,6 +334,13 @@ def test_value_parse_error_names_the_file(tmp_path, capsys):
     game = write(tmp_path, "g.txt", "2 2\n1 -1\n-1 1 1\n")
     assert main(["value", "--game", game]) == 2
     assert capsys.readouterr().err == f"error: {game}: line 3: expected 2 values, found 3\n"
+
+
+def test_value_names_the_file_and_line_of_bytes_that_are_not_utf8(tmp_path, capsys):
+    game = tmp_path / "latin1.txt"
+    game.write_bytes(NOT_UTF8)
+    assert main(["value", "--game", str(game)]) == 2
+    assert capsys.readouterr().err == f"error: {game}: {NOT_UTF8_ERROR}"
 
 
 def test_missing_game_file_is_an_error(tmp_path, capsys):

@@ -10,22 +10,19 @@ from cce2nash import (
     Player,
     StrategyProfile,
     cce_gap,
-    deviation_value,
     expected_joint_utility,
     expected_utility,
-    format_joint,
     load_joint,
     make_zero_sum,
     marginal,
     marginal_profile,
     nash_gap,
     parse_joint,
-    pure_utility,
     save_joint,
     two_eps_check,
     value_consistency_check,
 )
-from helpers import ASYM, PENNIES, random_game, random_joint, random_mixed
+from helpers import ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed
 
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
 
@@ -98,12 +95,12 @@ def test_expected_joint_utility_diagonal_pennies():
     assert expected_joint_utility(DIAG, PENNIES, Player.COL) == -1.0
 
 
-def test_expected_joint_utility_point_mass_is_pure_utility():
+def test_expected_joint_utility_point_mass_is_the_cell_payoff():
     rng = np.random.default_rng(7)
     g = random_game(rng, max_dim=5)
     r, c = int(rng.integers(g.rows)), int(rng.integers(g.cols))
     mu = JointDistribution.point_mass(g.rows, g.cols, (r, c))
-    assert expected_joint_utility(mu, g, Player.ROW) == pure_utility(g, Player.ROW, r, c)
+    assert expected_joint_utility(mu, g, Player.ROW) == g.payoff[r, c]
 
 
 def test_shape_mismatch_is_rejected_naming_both_shapes():
@@ -328,7 +325,3 @@ def test_parse_joint_accepts_file_tolerance_slack():
     mu = parse_joint("1 2\n0.5 0.5000000005\n")
     assert marginal(mu, Player.ROW).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-
-def test_format_joint_round_trips_through_parse():
-    mu = JointDistribution([[1.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]])
-    assert np.array_equal(parse_joint(format_joint(mu)).mass, mu.mass)

@@ -7,38 +7,40 @@ from hypothesis import strategies as st
 
 from cce2nash import (
     FormatError,
-    Game,
     MixedStrategy,
     Player,
     StrategyProfile,
     expected_utility,
     format_game,
-    from_constant_sum,
     load_game,
     make_zero_sum,
     parse_game,
     parse_joint,
-    pure_utility,
-    pure_vs_mixed,
     save_game,
 )
 from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
 from helpers import ASYM, PENNIES, random_game
 
 
+def pure_profile(game, r, c):
+    return StrategyProfile(
+        MixedStrategy.point_mass(game.rows, r), MixedStrategy.point_mass(game.cols, c)
+    )
+
+
 # --- construction -----------------------------------------------------------
 
 
 def test_make_zero_sum_negates_for_column_player():
-    assert pure_utility(PENNIES, Player.COL, 0, 0) == -1.0
-    assert pure_utility(ASYM, Player.COL, 0, 1) == 1.0
+    assert expected_utility(PENNIES, Player.COL, pure_profile(PENNIES, 0, 0)) == -1.0
+    assert expected_utility(ASYM, Player.COL, pure_profile(ASYM, 0, 1)) == 1.0
 
 
 def test_one_by_one_zero_game():
     g = make_zero_sum([[0.0]])
     assert g.shape == (1, 1)
-    assert pure_utility(g, Player.ROW, 0, 0) == 0.0
-    assert pure_utility(g, Player.COL, 0, 0) == 0.0
+    assert expected_utility(g, Player.ROW, pure_profile(g, 0, 0)) == 0.0
+    assert expected_utility(g, Player.COL, pure_profile(g, 0, 0)) == 0.0
 
 
 def test_rejects_non_finite_entry_naming_cell():
@@ -69,64 +71,6 @@ def test_game_equality():
 def test_payoff_range():
     assert ASYM.payoff_range == 5.0
     assert make_zero_sum([[2.0]]).payoff_range == 0.0
-
-
-# --- constant-sum normalization ---------------------------------------------
-
-
-def test_from_constant_sum_splits_the_constant():
-    g = from_constant_sum([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(g.payoff, [[0.5, -0.5], [-0.5, 0.5]])
-    assert g.offset == 0.5
-
-
-def test_from_constant_sum_constant_game():
-    g = from_constant_sum([[2.0, 2.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(g.payoff, np.ones((2, 2)))
-    assert g.offset == 1.0
-
-
-def test_from_constant_sum_rejects_varying_sums():
-    with pytest.raises(ValueError, match=r"cell \(0, 1\).*cell \(0, 0\)|cell \(0, 0\).*cell \(0, 1\)"):
-        from_constant_sum([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
-
-
-def test_from_constant_sum_rejection_reports_both_sums():
-    # sums are 1, 0, 1, 1: the message should surface the extreme cells' sums
-    try:
-        from_constant_sum([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
-    except ValueError as exc:
-        assert "1.0" in str(exc) and "0.0" in str(exc)
-        assert str(exc) == (
-            "cell sums are not constant: cell (0, 0) sums to 1.0 but cell (0, 1) sums to 0.0"
-        )
-    else:
-        pytest.fail("expected rejection")
-
-
-def test_from_constant_sum_original_payoffs_recoverable():
-    rng = np.random.default_rng(3)
-    row = rng.uniform(-2.0, 2.0, size=(3, 4))
-    col = 5.0 - row
-    g = from_constant_sum(row, col)
-    assert np.allclose(g.payoff + g.offset, row, atol=1e-12)
-
-
-def test_from_constant_sum_preserves_best_response_sets():
-    # Shifting both players by the same constant can't change any argmax.
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        rows, cols = rng.integers(1, 8, size=2)
-        base = rng.uniform(-1.0, 1.0, size=(rows, cols))
-        c0 = float(rng.uniform(-3.0, 3.0))
-        plain = make_zero_sum(base)
-        normalized = from_constant_sum(base, c0 - base)
-        w = rng.uniform(0.0, 1.0, size=cols)
-        opp = MixedStrategy(w / w.sum())
-        before = [pure_vs_mixed(plain, Player.ROW, a, opp) for a in range(rows)]
-        after = [pure_vs_mixed(normalized, Player.ROW, a, opp) for a in range(rows)]
-        assert np.argmax(before) == np.argmax(after)
-        assert np.allclose(np.subtract(before, after), c0 / 2.0, atol=1e-9)
 
 
 # --- mixed strategies --------------------------------------------------------
@@ -165,18 +109,6 @@ def test_probs_are_read_only():
 # --- utilities ---------------------------------------------------------------
 
 
-def test_pure_utility_examples():
-    assert pure_utility(PENNIES, Player.ROW, 0, 0) == 1.0
-    assert pure_utility(PENNIES, Player.COL, 0, 0) == -1.0
-
-
-def test_pure_utility_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"\(2, 0\)"):
-        pure_utility(PENNIES, Player.ROW, 2, 0)
-    with pytest.raises(ValueError):
-        pure_utility(PENNIES, Player.ROW, 0, -1)
-
-
 def test_expected_utility_uniform_pennies_is_zero():
     profile = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
     assert expected_utility(PENNIES, Player.ROW, profile) == pytest.approx(0.0, abs=1e-15)
@@ -208,23 +140,6 @@ def test_expected_utility_rejects_dimension_mismatch():
         expected_utility(PENNIES, Player.ROW, profile)
 
 
-def test_pure_vs_mixed_examples():
-    assert pure_vs_mixed(PENNIES, Player.ROW, 0, MixedStrategy.uniform(2)) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    assert pure_vs_mixed(PENNIES, Player.ROW, 0, MixedStrategy.point_mass(2, 0)) == 1.0
-    assert pure_vs_mixed(ASYM, Player.ROW, 0, MixedStrategy([0.25, 0.75])) == pytest.approx(
-        0.0, abs=1e-15
-    )
-
-
-def test_pure_vs_mixed_rejections():
-    with pytest.raises(ValueError, match="out of range"):
-        pure_vs_mixed(PENNIES, Player.ROW, 2, MixedStrategy.uniform(2))
-    with pytest.raises(ValueError, match="length 3"):
-        pure_vs_mixed(PENNIES, Player.ROW, 0, MixedStrategy.uniform(3))
-
-
 # --- algebraic properties ----------------------------------------------------
 
 
@@ -234,7 +149,8 @@ def test_zero_sum_identity_everywhere():
         g = random_game(rng, max_dim=6)
         for r in range(g.rows):
             for c in range(g.cols):
-                assert pure_utility(g, Player.ROW, r, c) + pure_utility(g, Player.COL, r, c) == 0.0
+                row, col = (expected_utility(g, p, pure_profile(g, r, c)) for p in Player)
+                assert row + col == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,15 +174,12 @@ def test_expected_utility_is_linear_in_row_strategy(lam, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_point_mass_profile_matches_pure_utility(seed):
+def test_point_mass_profile_matches_the_cell_payoff(seed):
     rng = np.random.default_rng(seed)
     g = random_game(rng, max_dim=5)
     r = int(rng.integers(g.rows))
     c = int(rng.integers(g.cols))
-    profile = StrategyProfile(
-        MixedStrategy.point_mass(g.rows, r), MixedStrategy.point_mass(g.cols, c)
-    )
-    assert expected_utility(g, Player.ROW, profile) == pure_utility(g, Player.ROW, r, c)
+    assert expected_utility(g, Player.ROW, pure_profile(g, r, c)) == g.payoff[r, c]
 
 
 # --- text format --------------------------------------------------------------
@@ -480,3 +393,16 @@ def test_load_game_errors_name_the_file_and_keep_the_line(tmp_path):
         load_game(path)
     assert str(exc.value) == f"{path}: line 2: invalid decimal value"
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_game_names_the_line_of_bytes_that_are_not_utf8(tmp_path, newline):
+    # A comment holding a two-byte "é" comes first; the bare Latin-1 "é" is invalid.
+    path = tmp_path / "g.txt"
+    data = newline.join([b"# \xc3\xa9", b"2 2", b"1 -1", b"-1 \xe9", b""])
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        load_game(path)
+    at = data.index(b"\xe9")
+    assert str(exc.value) == f"{path}: line 4: not UTF-8: invalid continuation byte at byte {at}"
+    assert exc.value.line == 4

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -7,24 +7,19 @@ import pytest
 from cce2nash import (
     Algo,
     Averaging,
-    LearnerState,
-    MixedStrategy,
     Player,
     cce_gap,
     expected_joint_utility,
     make_zero_sum,
     marginal_profile,
     nash_gap,
-    next_strategy,
-    observe,
     self_play,
     trajectory_csv,
 )
+from cce2nash.learners import _eta, _play, _update
 from helpers import PENNIES, random_game
 
-
-def fresh(algo, k=2, spread=2.0, horizon=100):
-    return LearnerState.fresh(algo, k, spread, horizon)
+RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS
 
 
 # --- strategy selection -------------------------------------------------------
@@ -32,85 +27,62 @@ def fresh(algo, k=2, spread=2.0, horizon=100):
 
 def test_cold_start_is_uniform():
     for algo in Algo:
-        assert np.array_equal(next_strategy(fresh(algo)).probs, [0.5, 0.5])
-
-
-def with_cumulative(algo, values):
-    return replace(fresh(algo, k=len(values)), cumulative=np.array(values, dtype=float))
+        assert np.array_equal(_play(algo, np.zeros(2)), [0.5, 0.5])
 
 
 def test_regret_matching_normalizes_positive_part():
-    state = with_cumulative(Algo.REGRET_MATCHING, [3.0, 1.0])
-    assert np.allclose(next_strategy(state).probs, [0.75, 0.25])
+    assert np.allclose(_play(RM, np.array([3.0, 1.0])), [0.75, 0.25])
 
 
 def test_regret_matching_zeroes_negative_regret():
-    state = with_cumulative(Algo.REGRET_MATCHING, [-2.0, 5.0])
-    assert np.array_equal(next_strategy(state).probs, [0.0, 1.0])
+    assert np.array_equal(_play(RM, np.array([-2.0, 5.0])), [0.0, 1.0])
 
 
 def test_mw_strategy_is_softmax_of_log_weights():
-    state = with_cumulative(Algo.MULTIPLICATIVE_WEIGHTS, [0.0, math.log(3.0)])
-    assert np.allclose(next_strategy(state).probs, [0.25, 0.75])
+    assert np.allclose(_play(MW, np.array([0.0, math.log(3.0)])), [0.25, 0.75])
 
 
 def test_mw_eta_uses_horizon_and_payoff_range():
-    state = LearnerState.fresh(Algo.MULTIPLICATIVE_WEIGHTS, 4, 2.0, 10_000)
-    assert state.eta == pytest.approx(math.sqrt(8.0 * math.log(4) / 10_000) / 2.0)
+    assert _eta(MW, 4, 2.0, 10_000) == pytest.approx(math.sqrt(8.0 * math.log(4) / 10_000) / 2.0)
     # degenerate cases: a single action or a flat game leave eta at 0
-    assert LearnerState.fresh(Algo.MULTIPLICATIVE_WEIGHTS, 1, 2.0, 100).eta == 0.0
-    assert LearnerState.fresh(Algo.MULTIPLICATIVE_WEIGHTS, 3, 0.0, 100).eta == 0.0
+    assert _eta(MW, 1, 2.0, 100) == 0.0
+    assert _eta(MW, 3, 0.0, 100) == 0.0
+    # and the regret-matching rules have no step size
+    assert _eta(RM, 4, 2.0, 100) == _eta(RM_PLUS, 4, 2.0, 100) == 0.0
 
 
 # --- feedback updates ------------------------------------------------------------
 
 
-def test_observe_regret_matching_example():
-    state = fresh(Algo.REGRET_MATCHING)
-    new = observe(state, [1.0, -1.0], MixedStrategy.uniform(2))
-    assert np.allclose(new.cumulative, [1.0, -1.0])
-    assert new.t == 1
-    # functional update: the input state is untouched
-    assert np.array_equal(state.cumulative, [0.0, 0.0]) and state.t == 0
+def test_update_regret_matching_example():
+    cumulative = np.zeros(2)
+    new = _update(RM, 0.0, cumulative, np.array([1.0, -1.0]), np.full(2, 0.5))
+    assert np.allclose(new, [1.0, -1.0])
+    # functional update: the input array is untouched
+    assert np.array_equal(cumulative, [0.0, 0.0])
 
 
-def test_observe_rm_plus_clips_at_zero():
-    state = fresh(Algo.REGRET_MATCHING_PLUS)
-    new = observe(state, [-1.0, 1.0], MixedStrategy.point_mass(2, 0))
-    assert np.array_equal(new.cumulative, [0.0, 2.0])
-    again = observe(new, [1.0, -1.0], MixedStrategy.point_mass(2, 1))
-    assert (again.cumulative >= 0.0).all()
+def test_update_rm_plus_clips_at_zero():
+    new = _update(RM_PLUS, 0.0, np.zeros(2), np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
+    assert np.array_equal(new, [0.0, 2.0])
+    again = _update(RM_PLUS, 0.0, new, np.array([1.0, -1.0]), np.array([0.0, 1.0]))
+    assert (again >= 0.0).all()
 
 
-def test_observe_mw_with_zero_eta_keeps_strategy():
-    state = LearnerState.fresh(Algo.MULTIPLICATIVE_WEIGHTS, 3, 0.0, 100)
-    before = next_strategy(state)
-    after = next_strategy(observe(state, [5.0, -2.0, 1.0], before))
-    assert np.array_equal(before.probs, after.probs)
-
-
-def test_observe_counts_iterations():
-    state = fresh(Algo.REGRET_MATCHING)
-    for expected_t in range(1, 6):
-        state = observe(state, [0.5, -0.5], next_strategy(state))
-        assert state.t == expected_t
-
-
-def test_observe_rejects_wrong_lengths():
-    state = fresh(Algo.REGRET_MATCHING)
-    with pytest.raises(ValueError, match="2 action utilities"):
-        observe(state, [1.0, 2.0, 3.0], MixedStrategy.uniform(2))
-    with pytest.raises(ValueError, match="length 3"):
-        observe(state, [1.0, 2.0], MixedStrategy.uniform(3))
+def test_update_mw_with_zero_eta_keeps_strategy():
+    cumulative = np.zeros(3)
+    before = _play(MW, cumulative)
+    after = _play(MW, _update(MW, 0.0, cumulative, np.array([5.0, -2.0, 1.0]), before))
+    assert np.array_equal(before, after)
 
 
 def test_rm_plus_cumulative_never_negative_over_random_play():
     rng = np.random.default_rng(31)
-    state = LearnerState.fresh(Algo.REGRET_MATCHING_PLUS, 4, 2.0, 200)
+    cumulative = np.zeros(4)
     for _ in range(200):
         utilities = rng.uniform(-1.0, 1.0, size=4)
-        state = observe(state, utilities, next_strategy(state))
-        assert (state.cumulative >= 0.0).all()
+        cumulative = _update(RM_PLUS, 0.0, cumulative, utilities, _play(RM_PLUS, cumulative))
+        assert (cumulative >= 0.0).all()
 
 
 # --- self-play -------------------------------------------------------------------
@@ -170,9 +142,14 @@ def test_trajectory_checkpoints_at_log_every_and_final():
 
 
 def reference_joint(game, algo, col_algo, iters, seed, averaging):
-    """Self-play through the public learner API, one validated step at a time."""
-    row = LearnerState.fresh(algo, game.rows, game.payoff_range, iters)
-    col = LearnerState.fresh(col_algo, game.cols, game.payoff_range, iters)
+    """Self-play on the unscaled payoffs, one update-rule call at a time."""
+
+    def eta(rule, k):  # the fixed-horizon step size of the self_play docstring
+        if rule is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
+            return math.sqrt(8.0 * math.log(k) / iters) / game.payoff_range
+        return 0.0
+
+    row, col = np.zeros(game.rows), np.zeros(game.cols)
     rng = np.random.default_rng(seed)
 
     def draw(probs):  # inverse CDF of one uniform, row player first
@@ -181,13 +158,13 @@ def reference_joint(game, algo, col_algo, iters, seed, averaging):
 
     acc = np.zeros(game.shape)
     for _ in range(iters):
-        x, y = next_strategy(row), next_strategy(col)
+        x, y = _play(algo, row), _play(col_algo, col)
         if averaging is Averaging.EXPECTED:
-            acc += np.outer(x.probs, y.probs)
+            acc += np.outer(x, y)
         else:
-            acc[draw(x.probs), draw(y.probs)] += 1.0
-        row = observe(row, game.payoff @ y.probs, x)
-        col = observe(col, -(x.probs @ game.payoff), y)
+            acc[draw(x), draw(y)] += 1.0
+        row = _update(algo, eta(algo, game.rows), row, game.payoff @ y, x)
+        col = _update(col_algo, eta(col_algo, game.cols), col, -(x @ game.payoff), y)
     return acc / acc.sum()
 
 
@@ -228,6 +205,18 @@ def test_rm_external_regret_within_standard_bound():
         col_bound = 2.0 * spread * math.sqrt(g.cols * iters)
         assert iters * max(report.row_gain, 0.0) <= row_bound
         assert iters * max(report.col_gain, 0.0) <= col_bound
+
+
+def test_rm_meets_its_bound_at_the_largest_payoff_scales():
+    # Cumulative regrets of a game scaled by 1e307 overflow unless the rules run
+    # on power-of-two-scaled payoffs; inf regrets stall RM far above its bound.
+    g = make_zero_sum(np.random.default_rng(59).uniform(-1.0, 1.0, size=(5, 5)) * 1e307)
+    iters = 2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = self_play(g, Algo.REGRET_MATCHING, iters=iters)
+    bound = g.payoff_range * math.sqrt(max(g.shape) / iters)
+    assert result.trajectory[-1].cce_eps <= bound
 
 
 def test_average_gap_shrinks_with_horizon():

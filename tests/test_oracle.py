@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from cce2nash import (
     JointDistribution,
-    MixedStrategy,
     Player,
     SimplexLimitExceeded,
     StrategyProfile,
-    best_response,
     brute_force_gaps,
     cce_gap,
     exact_value,
@@ -203,33 +201,6 @@ def test_exact_value_matches_highs(family, dim):
     assert result.status == 0
     tol = 1e-7 * (float(payoff.max() - payoff.min()) or 1.0)
     assert exact_value(make_zero_sum(payoff)).value == pytest.approx(result.fun, abs=tol)
-
-
-# --- best responses -----------------------------------------------------------------
-
-
-def test_best_response_examples():
-    br = best_response(PENNIES, Player.ROW, MixedStrategy.point_mass(2, 0))
-    assert (br.action, br.value) == (0, 1.0)
-    br = best_response(PENNIES, Player.ROW, MixedStrategy.uniform(2))
-    assert br.action == 0 and br.value == pytest.approx(0.0, abs=1e-15)
-    br = best_response(ASYM, Player.COL, MixedStrategy.point_mass(2, 0))
-    assert (br.action, br.value) == (1, 1.0)
-
-
-def test_best_response_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="3 entries"):
-        best_response(PENNIES, Player.ROW, MixedStrategy.uniform(3))
-
-
-def test_best_response_matches_nash_gap_deviation():
-    rng = np.random.default_rng(107)
-    for _ in range(20):
-        g = random_game(rng, max_dim=8)
-        w = rng.uniform(0.0, 1.0, size=g.cols)
-        opp = MixedStrategy(w / w.sum())
-        br = best_response(g, Player.ROW, opp)
-        assert br.value == pytest.approx(float((g.payoff @ opp.probs).max()), abs=1e-12)
 
 
 # --- brute-force gap recomputation ----------------------------------------------------
