@@ -40,6 +40,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _report_tolerance() -> float:
     """Report tolerance: 1e-9 unless CCE2NASH_TOL says otherwise."""
     raw = os.environ.get("CCE2NASH_TOL")
@@ -82,6 +89,10 @@ def cmd_learn(args) -> int:
     # The final checkpoint always exists and holds the run's closing stats;
     # reusing it keeps the CSV and the JSON summary numerically identical.
     final = result.trajectory[-1]
+    # The clamp scales with the payoffs, so the ratio does not depend on
+    # their scale; a flat game has no gaps.
+    spread = game.payoff_range
+    ratio = final.nash_eps / max(final.cce_eps, 1e-15 * spread) if spread else 0.0
     summary = {
         "algo": Algo(args.algo).value,
         "averaging": Averaging(args.averaging).value,
@@ -94,7 +105,7 @@ def cmd_learn(args) -> int:
         "lp_pivots": oracle.pivots,
         "nash_eps": final.nash_eps,
         "oracle_value": oracle.value,
-        "ratio": final.nash_eps / max(final.cce_eps, 1e-15),
+        "ratio": ratio,
         "seed": args.seed,
         "tolerance": tol,
     }
@@ -170,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rows", type=_positive_int, required=True)
     gen.add_argument("--cols", type=_positive_int, required=True)
     gen.add_argument("--count", type=_positive_int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--game", required=True, help="game file")
     learn.add_argument("--algo", choices=[a.value for a in Algo], default="rm")
     learn.add_argument("--iters", type=_positive_int, required=True)
-    learn.add_argument("--seed", type=int, default=0)
+    learn.add_argument("--seed", type=_nonnegative_int, default=0)
     learn.add_argument(
         "--averaging", choices=[a.value for a in Averaging], default="expected"
     )

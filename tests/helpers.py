@@ -12,6 +12,7 @@ from cce2nash import (
     make_zero_sum,
     marginal,
 )
+from cce2nash import oracle
 
 
 def random_game(rng: np.random.Generator, max_dim: int = 20) -> Game:
@@ -57,3 +58,61 @@ def deviation_value(
     else:
         profile = StrategyProfile(row=marginal(mu, Player.ROW), col=deviation)
     return expected_utility(game, player, profile)
+
+
+def full_tableau_simplex(B: np.ndarray, max_pivots: int):
+    """The full-tableau simplex ``oracle._simplex_max_ones`` condenses.
+
+    It keeps all ``n + m`` variable columns of the ``(m+1)×(n+m+1)``
+    tableau, so a basic variable's column is a unit vector and pricing can
+    take the first index, which is the lowest label.  Same pricing, ratio test,
+    tolerances and pivot budget; it reads ``oracle._DEGENERATE_RUN`` at call
+    time, so a monkeypatch applies to both.  Returns ``(z, duals, pivots)``.
+    """
+    m, n = B.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = B
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :n] = -1.0
+    reduced = T[m, : n + m]
+    rhs = T[:m, -1]
+    basis = np.arange(n, n + m)
+    column = np.empty(m + 1)
+    update = np.empty_like(T)
+    degenerate = 0
+
+    for pivots in range(max_pivots + 1):
+        if degenerate < oracle._DEGENERATE_RUN:
+            j = int(np.argmin(reduced))
+            if reduced[j] >= -oracle.FEAS_TOL:
+                break
+        else:
+            improving = np.flatnonzero(reduced < -oracle.FEAS_TOL)
+            if improving.size == 0:
+                break
+            j = int(improving[0])
+        if pivots == max_pivots:
+            raise oracle.SimplexLimitExceeded(
+                f"simplex did not converge within {max_pivots} pivots"
+            )
+        eligible = np.flatnonzero(T[:m, j] > oracle.FEAS_TOL)
+        if eligible.size == 0:
+            raise RuntimeError("unbounded LP; positive payoff shift should prevent this")
+        ratios = rhs[eligible] / T[eligible, j]
+        step = ratios.min()
+        tied = eligible[ratios <= step + oracle._RATIO_TIE_TOL]
+        i = int(tied[np.argmin(basis[tied])])
+        degenerate = degenerate + 1 if step <= oracle._RATIO_TIE_TOL else 0
+        T[i] /= T[i, j]
+        np.copyto(column, T[:, j])
+        column[i] = 0.0
+        np.multiply(column[:, None], T[i][None, :], out=update)
+        T -= update
+        basis[i] = j
+
+    z = np.zeros(n)
+    structural = basis < n
+    z[basis[structural]] = rhs[structural]
+    duals = T[m, n : n + m].copy()
+    return z, duals, pivots

@@ -38,6 +38,18 @@ def test_gen_rejects_zero_rows(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+def test_gen_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys, seed):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--rows", "2", "--cols", "2", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument --seed: must be at least 0, got {seed}" in err
+    assert not out.exists()
+
+
 def test_gen_same_seed_same_files(tmp_path):
     for sub in ("a", "b"):
         main(["gen", "--rows", "4", "--cols", "3", "--count", "2", "--seed", "5", "--out", str(tmp_path / sub)])
@@ -115,6 +127,47 @@ def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
     assert main(["learn", "--game", str(game), "--iters", "10", "--out", str(out)]) == 2
     assert "200" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_learn_rejects_a_negative_seed_before_the_lp(pennies_file, tmp_path, capsys, monkeypatch):
+    import cce2nash.cli as cli_mod
+
+    def no_exact_value(*args, **kwargs):
+        raise AssertionError("exact_value ran before the seed was validated")
+
+    monkeypatch.setattr(cli_mod, "exact_value", no_exact_value)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--game", pennies_file, "--iters", "10", "--seed", "-5", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --seed: must be at least 0, got -5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_learn_ratio_does_not_depend_on_the_payoff_scale(tmp_path, scale):
+    payoff = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 4))
+
+    def ratio(factor, name):
+        path = tmp_path / f"{name}.txt"
+        save_game(make_zero_sum(factor * payoff), path)
+        out = tmp_path / name
+        assert main(["learn", "--game", str(path), "--iters", "2000", "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())["ratio"]
+
+    unit = ratio(1.0, "unit")
+    assert unit > 1.0
+    assert ratio(scale, "scaled") == pytest.approx(unit, rel=1e-9)
+
+
+def test_learn_ratio_of_a_flat_game_is_zero(tmp_path):
+    path = tmp_path / "flat.txt"
+    save_game(make_zero_sum(np.full((3, 2), 1e-300)), path)
+    out = tmp_path / "run"
+    assert main(["learn", "--game", str(path), "--iters", "50", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["ratio"] == 0.0
 
 
 def test_learn_reports_parse_failure_line(tmp_path, capsys):

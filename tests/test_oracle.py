@@ -18,7 +18,8 @@ from cce2nash import (
 )
 from cce2nash import oracle
 from cce2nash.oracle import _simplex_max_ones
-from helpers import ASYM, PENNIES, RPS, random_game, random_joint
+from cce2nash.games import payoff_scale
+from helpers import ASYM, PENNIES, RPS, full_tableau_simplex, random_game, random_joint
 
 
 # --- exact values ----------------------------------------------------------------
@@ -115,15 +116,47 @@ def test_simplex_reports_pivot_limit():
         _simplex_max_ones(np.array([[1.0, 2.0], [2.0, 1.0]]), max_pivots=1)
 
 
-def _tie_heavy(rng, dim):
-    return rng.integers(-1, 2, size=(dim, dim)).astype(float)
+def _tie_heavy(rng, rows, cols=None):
+    return rng.integers(-1, 2, size=(rows, cols or rows)).astype(float)
 
 
-def _duplicated(rng, dim):
-    # every row and column copies one of dim/2 base strategies
-    half = dim // 2
-    base = rng.uniform(-1.0, 1.0, size=(half, half))
-    return base[rng.integers(0, half, dim)][:, rng.integers(0, half, dim)]
+def _duplicated(rng, rows, cols=None):
+    # every row (column) copies one of rows/2 (cols/2) base strategies
+    cols = cols or rows
+    base = rng.uniform(-1.0, 1.0, size=(max(rows // 2, 1), max(cols // 2, 1)))
+    return base[rng.integers(0, len(base), rows)][:, rng.integers(0, base.shape[1], cols)]
+
+
+_REFERENCE_SHAPES = [
+    (1, 1), (2, 2), (7, 7), (50, 50), (100, 100),
+    (7, 1), (40, 1), (100, 1), (1, 7), (1, 40), (1, 100),
+    (3, 8), (8, 3), (20, 45), (45, 20), (60, 100), (100, 60),
+]
+
+
+@pytest.mark.parametrize("family", ["uniform", "tie_heavy", "duplicated"])
+@pytest.mark.parametrize("run", [50, 0, 3])
+def test_condensed_tableau_matches_the_full_tableau_bitwise(monkeypatch, family, run):
+    # run 50 is the default, 0 prices every pivot by Bland's rule, 3 switches back and forth
+    monkeypatch.setattr(oracle, "_DEGENERATE_RUN", run)
+    build = {
+        "uniform": lambda rng, r, c: rng.uniform(-1.0, 1.0, size=(r, c)),
+        "tie_heavy": _tie_heavy,
+        "duplicated": _duplicated,
+    }[family]
+    for rows, cols in _REFERENCE_SHAPES:
+        rng = np.random.default_rng([rows, cols, len(family)])
+        for _ in range(2):
+            payoff = build(rng, rows, cols)
+            low = payoff.min()
+            B = (payoff - low) / payoff_scale(make_zero_sum(payoff)) + 1.0
+            budget = 100 * (rows + cols + 2)
+            z, duals, pivots = _simplex_max_ones(B, budget)
+            ref_z, ref_duals, ref_pivots = full_tableau_simplex(B, budget)
+            assert pivots == ref_pivots, (rows, cols)
+            # Bytes, not values: the sign of a zero would reach `value`'s output.
+            assert z.tobytes() == ref_z.tobytes(), (rows, cols)
+            assert duals.tobytes() == ref_duals.tobytes(), (rows, cols)
 
 
 def _nash_eps(sol, game):
