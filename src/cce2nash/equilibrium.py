@@ -6,6 +6,13 @@ can gain by committing to a fixed deviation while the opponent keeps following
 ``mu``) and the Nash gap of a strategy profile (best-response improvement).
 Both are computed by enumerating pure deviations, which suffices because the
 expected utility is linear in each player's own strategy.
+
+The CCE gap of ``mu`` and the Nash gap of its marginals ``(x, y)`` score the
+same deviation payoffs ``A @ y`` and ``x @ A`` against the joint payoff
+``sum(mu * A)`` and the profile payoff ``x A y`` respectively, so per player
+``nash_gain = cce_gain ± (joint payoff − profile payoff)``.  ``_measure``
+computes each of these once, for ``analyze``, ``cce_gap`` and every self-play
+checkpoint.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ class JointDistribution:
             raise ValueError(f"negative mass {float(arr[r, c])!r} at cell ({r}, {c})")
         total = float(arr.sum())
         if abs(total - 1.0) > sum_tol:
-            raise ValueError(f"mass sums to {total!r}, expected 1 within {sum_tol}")
+            raise ValueError(
+                f"mass sums to {total!r}, expected 1 within {sum_tol} (refusing to renormalize)"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "mass", arr)
 
@@ -155,6 +164,11 @@ def _check_shape(mu: JointDistribution, game: Game) -> None:
         )
 
 
+def _marginal(mass: np.ndarray, axis: int) -> np.ndarray:
+    sums = mass.sum(axis=axis)
+    return sums / sums.sum()
+
+
 def marginal(mu: JointDistribution, player: Player) -> MixedStrategy:
     """Per-player strategy obtained by summing the joint mass over the opponent.
 
@@ -162,9 +176,7 @@ def marginal(mu: JointDistribution, player: Player) -> MixedStrategy:
     probability vector even when the joint was loaded at the looser file
     tolerance.
     """
-    axis = 1 if player is Player.ROW else 0
-    sums = mu.mass.sum(axis=axis)
-    return MixedStrategy(sums / sums.sum())
+    return MixedStrategy(_marginal(mu.mass, 1 if player is Player.ROW else 0))
 
 
 def marginal_profile(mu: JointDistribution) -> StrategyProfile:
@@ -179,14 +191,11 @@ def expected_joint_utility(mu: JointDistribution, game: Game, player: Player) ->
     return value if player is Player.ROW else -value
 
 
-def _best_deviation(
-    payoff: np.ndarray, x: np.ndarray, y: np.ndarray, base_row: float
-) -> GapReport:
-    """Best pure-deviation gains when the row player faces ``y``, the column
-    player faces ``x``, and ``base_row`` is the row player's payoff of the play
-    being deviated from."""
-    row_gains = payoff @ y - base_row
-    col_gains = -(x @ payoff) + base_row
+def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapReport:
+    """Best pure-deviation gains over ``base_row``, the row payoff of the play
+    deviated from, given the deviation payoffs ``ay = A @ y`` and ``xa = x @ A``."""
+    row_gains = ay - base_row
+    col_gains = -xa + base_row
     row_best = int(np.argmax(row_gains))
     col_best = int(np.argmax(col_gains))
     return GapReport(
@@ -197,6 +206,18 @@ def _best_deviation(
     )
 
 
+def _measure(payoff: np.ndarray, mass: np.ndarray) -> tuple[GapReport, GapReport, float, float]:
+    """CCE gap, marginals' Nash gap, joint row payoff and profile row payoff of
+    a ``mass`` shaped like ``payoff``; validates nothing.  ``(x @ A) @ y`` is the
+    order :func:`~cce2nash.games.expected_utility` evaluates, so the bits agree."""
+    x, y = _marginal(mass, 1), _marginal(mass, 0)
+    ay, xa = payoff @ y, x @ payoff
+    joint_value = float((mass * payoff).sum())
+    profile_value = float(xa @ y)
+    cce, nash = _best_deviation(ay, xa, joint_value), _best_deviation(ay, xa, profile_value)
+    return cce, nash, joint_value, profile_value
+
+
 def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     """Best fixed-deviation gains against ``mu`` for both players.
 
@@ -205,12 +226,7 @@ def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     at a pure strategy.
     """
     _check_shape(mu, game)
-    return _best_deviation(
-        game.payoff,
-        marginal(mu, Player.ROW).probs,
-        marginal(mu, Player.COL).probs,
-        float((mu.mass * game.payoff).sum()),
-    )
+    return _measure(game.payoff, mu.mass)[0]
 
 
 def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
@@ -219,23 +235,25 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     Pure best responses suffice by linearity; ``epsilon`` is zero exactly at a
     Nash equilibrium and measures exploitability otherwise.
     """
+    x, y = profile.row.probs, profile.col.probs
     base_row = expected_utility(game, Player.ROW, profile)
-    return _best_deviation(game.payoff, profile.row.probs, profile.col.probs, base_row)
+    return _best_deviation(game.payoff @ y, x @ game.payoff, base_row)
 
 
 def analyze(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> CheckReport:
-    """Both gaps of ``mu`` and the two bounds they must satisfy, each computed once.
+    """Both gaps of ``mu`` and the two bounds they must satisfy, from one
+    :func:`_measure` call.
 
-    The value-consistency bound compares the joint's expected payoff with its
-    marginal profile's payoff.  Only the row player is evaluated: the game is
-    zero-sum, so the column player's absolute gap is the same number (negation
-    of a negation), an identity the test suite asserts separately.
+    Both gaps score the deviation payoffs ``A @ y`` and ``x @ A`` of the
+    marginals ``(x, y)``, so ``nash_gain = cce_gain ± (joint payoff − profile
+    payoff)`` per player.  The value-consistency bound compares those two
+    payoffs.  Only the row player is evaluated: the game is zero-sum, so the
+    column player's absolute gap is the same number (negation of a negation),
+    an identity the test suite asserts separately.
     """
-    cce = cce_gap(mu, game)  # first: it rejects a joint whose shape is not the game's
-    profile = marginal_profile(mu)
-    nash = nash_gap(profile, game)
-    joint_value = expected_joint_utility(mu, game, Player.ROW)
-    lhs = abs(joint_value - expected_utility(game, Player.ROW, profile))
+    _check_shape(mu, game)
+    cce, nash, joint_value, profile_value = _measure(game.payoff, mu.mass)
+    lhs = abs(joint_value - profile_value)
     return CheckReport(
         cce=cce,
         nash_of_marginals=nash,
@@ -267,17 +285,10 @@ def two_eps_check(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> 
 def parse_joint(text: str) -> JointDistribution:
     """Parse a joint distribution, rejecting rather than renormalizing bad mass."""
     mass = parse_matrix(text, what="joint distribution")
-    neg = np.argwhere(mass < 0)
-    if neg.size:
-        r, c = neg[0]
-        raise FormatError(f"negative mass {float(mass[r, c])!r} at cell ({r}, {c})")
-    total = float(mass.sum())
-    if abs(total - 1.0) > JOINT_FILE_SUM_TOL:
-        raise FormatError(
-            f"mass sums to {total!r}, expected 1 within {JOINT_FILE_SUM_TOL} "
-            "(refusing to renormalize)"
-        )
-    return JointDistribution(mass, sum_tol=JOINT_FILE_SUM_TOL)
+    try:
+        return JointDistribution(mass, sum_tol=JOINT_FILE_SUM_TOL)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def load_joint(path) -> JointDistribution:

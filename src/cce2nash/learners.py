@@ -15,14 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import (
-    JointDistribution,
-    cce_gap,
-    expected_joint_utility,
-    marginal_profile,
-    nash_gap,
-)
-from .games import Game, Player, StrategyProfile, payoff_scale
+from .equilibrium import JointDistribution, _measure, marginal_profile
+from .games import Game, StrategyProfile, payoff_scale
 
 
 class Algo(Enum):
@@ -183,20 +177,15 @@ def self_play(
         if t % log_every == 0 or t == iters:
             # Normalizing by the accumulated float total (rather than by t)
             # keeps the average summing to 1 within rounding for long runs.
-            joint = JointDistribution(joint_acc / joint_acc.sum())
-            profile = marginal_profile(joint)
-            trajectory.append(
-                Checkpoint(
-                    t=t,
-                    cce_eps=cce_gap(joint, game).epsilon,
-                    nash_eps=nash_gap(profile, game).epsilon,
-                    avg_row_payoff=expected_joint_utility(joint, game, Player.ROW),
-                )
-            )
+            mass = joint_acc / joint_acc.sum()
+            cce, nash, joint_value, _ = _measure(game.payoff, mass)
+            trajectory.append(Checkpoint(t, cce.epsilon, nash.epsilon, avg_row_payoff=joint_value))
 
-    # The final round is always a checkpoint; its joint and profile are the result.
+    # The final checkpoint's mass is the result.  Every term added is nonnegative
+    # or NaN, and a NaN stays, so validating this mass covers every checkpoint.
+    joint = JointDistribution(mass)
     return SelfPlayResult(
-        empirical_joint=joint, avg_profile=profile, trajectory=tuple(trajectory)
+        empirical_joint=joint, avg_profile=marginal_profile(joint), trajectory=tuple(trajectory)
     )
 
 

@@ -9,6 +9,7 @@ from cce2nash import (
     MixedStrategy,
     Player,
     StrategyProfile,
+    analyze,
     cce_gap,
     expected_joint_utility,
     expected_utility,
@@ -267,6 +268,13 @@ def test_both_bounds_hold_on_random_instances(instance):
     game, mu = instance
     assert value_consistency_check(mu, game).holds
     assert two_eps_check(mu, game).holds
+    # analyze's shared kernel agrees bit for bit with the independent public routes
+    report, profile = analyze(mu, game), marginal_profile(mu)
+    assert report.nash_of_marginals == nash_gap(profile, game)
+    assert report.value_consistency.lhs == abs(
+        expected_joint_utility(mu, game, Player.ROW)
+        - expected_utility(game, Player.ROW, profile)
+    )
 
 
 def test_gaps_are_shift_invariant():

@@ -7,6 +7,7 @@ import pytest
 from cce2nash import (
     Algo,
     Averaging,
+    JointDistribution,
     Player,
     cce_gap,
     expected_joint_utility,
@@ -139,6 +140,17 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     assert final.avg_row_payoff == expected_joint_utility(
         result.empirical_joint, PENNIES, Player.ROW
     )
+    # Every intermediate checkpoint is the public route on the joint of that
+    # round.  RM has eta = 0, so a shorter reference run is a prefix of this one.
+    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
+    for averaging in Averaging:
+        result = self_play(g, RM, iters=300, seed=4, averaging=averaging, log_every=37)
+        assert [c.t for c in result.trajectory] == [*range(37, 300, 37), 300]
+        for point in result.trajectory:
+            mu = JointDistribution(reference_joint(g, RM, RM, point.t, 4, averaging))
+            assert point.cce_eps == cce_gap(mu, g).epsilon
+            assert point.nash_eps == nash_gap(marginal_profile(mu), g).epsilon
+            assert point.avg_row_payoff == expected_joint_utility(mu, g, Player.ROW)
 
 
 def reference_joint(game, algo, col_algo, iters, seed, averaging):
