@@ -9,9 +9,9 @@ Subcommands:
   consistency and 2ε-Nash bounds; exit 0 iff both hold.
 * ``value`` — solve a game exactly and print the value and strategies.
 
-The report tolerance used by ``check`` and ``learn`` defaults to 1e-9 and can
-be overridden with the ``CCE2NASH_TOL`` environment variable.  Representation
-tolerances (probabilities summing to one, etc.) are fixed and unaffected.
+``check`` and ``learn`` give both bounds a slack of 1e-9 of the game's largest
+|payoff| (``equilibrium.bound_slack``) and report it as ``tolerance``; it only
+absorbs rounding, and nothing on the command line or in the environment sets it.
 """
 
 from __future__ import annotations
@@ -19,46 +19,31 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import BOUND_TOL, TwoEpsCheck, analyze, load_joint
+from .equilibrium import TwoEpsCheck, analyze, bound_slack, load_joint
 from .games import format_game, load_game, make_zero_sum, write_text_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, with plain messages."""
 
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _nonnegative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def _report_tolerance() -> float:
-    """Report tolerance: 1e-9 unless CCE2NASH_TOL says otherwise."""
-    raw = os.environ.get("CCE2NASH_TOL")
-    if raw is None:
-        return BOUND_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"CCE2NASH_TOL must be a number, got {raw!r}") from None
-    if not math.isfinite(tol) or tol < 0:
-        raise ValueError(f"CCE2NASH_TOL must be a nonnegative finite number, got {raw!r}")
-    return tol
+    return parse
 
 
 def cmd_gen(args) -> int:
@@ -75,7 +60,7 @@ def cmd_gen(args) -> int:
 
 def cmd_learn(args) -> int:
     game = load_game(args.game)
-    tol = _report_tolerance()
+    tol = bound_slack(game)
     # Solved before self-play so a game beyond the LP's size limit fails at once.
     oracle = exact_value(game)
     result = self_play(
@@ -123,8 +108,7 @@ def cmd_learn(args) -> int:
 def cmd_check(args) -> int:
     game = load_game(args.game)
     mu = load_joint(args.joint)
-    tol = _report_tolerance()
-    report = analyze(mu, game, tol=tol)
+    report = analyze(mu, game)
     cce, nash = report.cce, report.nash_of_marginals
     consistency, two_eps = report.value_consistency, report.two_eps
 
@@ -132,7 +116,6 @@ def cmd_check(args) -> int:
         fields = asdict(report)
         fields["cce"]["epsilon"] = cce.epsilon
         fields["nash_of_marginals"]["epsilon"] = nash.epsilon
-        fields["tolerance"] = tol
         print(json.dumps(fields, indent=2, sort_keys=True))
     else:
         print(f"cce_eps = {cce.epsilon:.17g}")
@@ -144,7 +127,7 @@ def cmd_check(args) -> int:
         print(
             f"two_eps: {'holds' if two_eps.holds else 'FAILS'} "
             f"(nash_eps {two_eps.nash_eps:.17g} vs 2*cce_eps "
-            f"{2.0 * two_eps.cce_eps:.17g} + {tol:.17g})"
+            f"{2.0 * two_eps.cce_eps:.17g} + {report.tolerance:.17g})"
         )
     return 0 if consistency.holds and two_eps.holds else 1
 
@@ -178,22 +161,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate random game files")
-    gen.add_argument("--rows", type=_positive_int, required=True)
-    gen.add_argument("--cols", type=_positive_int, required=True)
-    gen.add_argument("--count", type=_positive_int, default=1)
-    gen.add_argument("--seed", type=_nonnegative_int, default=0)
+    gen.add_argument("--rows", type=_int_at_least(1), required=True)
+    gen.add_argument("--cols", type=_int_at_least(1), required=True)
+    gen.add_argument("--count", type=_int_at_least(1), default=1)
+    gen.add_argument("--seed", type=_int_at_least(0), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
     learn = sub.add_parser("learn", help="run no-regret self-play on a game file")
     learn.add_argument("--game", required=True, help="game file")
     learn.add_argument("--algo", choices=[a.value for a in Algo], default="rm")
-    learn.add_argument("--iters", type=_positive_int, required=True)
-    learn.add_argument("--seed", type=_nonnegative_int, default=0)
+    learn.add_argument("--iters", type=_int_at_least(1), required=True)
+    learn.add_argument("--seed", type=_int_at_least(0), default=0)
     learn.add_argument(
         "--averaging", choices=[a.value for a in Averaging], default="expected"
     )
-    learn.add_argument("--log-every", type=_positive_int, default=1000)
+    learn.add_argument("--log-every", type=_int_at_least(1), default=1000)
     learn.add_argument("--out", required=True, help="output directory")
     learn.add_argument(
         "--format",

@@ -35,8 +35,10 @@ from .games import (
     write_text_atomic,
 )
 
-# Slack added to every inequality check on gaps; absorbs accumulated float
-# error, which stays far below this at desk scale (<= 400 cells).
+# Slack on both gap inequalities, as a fraction of the largest |payoff|.  The
+# inequalities hold exactly, so the slack only absorbs rounding, which follows
+# the payoffs' magnitude (an offset game rounds at its offset, not its range)
+# and stays near 1e-15 of it at desk scale (<= 400 cells).
 BOUND_TOL = 1e-9
 
 # Distribution files are accepted when their mass sums to 1 within this bound;
@@ -142,9 +144,11 @@ class TwoEpsCheck:
     holds: bool
 
     @classmethod
-    def from_levels(cls, cce_eps: float, nash_eps: float, tol: float) -> "TwoEpsCheck":
-        """The paper's inequality: ``nash_eps <= 2 * cce_eps``, with slack ``tol``."""
-        return cls(cce_eps=cce_eps, nash_eps=nash_eps, holds=bool(nash_eps <= 2.0 * cce_eps + tol))
+    def from_levels(cls, cce_eps: float, nash_eps: float, slack: float) -> "TwoEpsCheck":
+        """The paper's inequality: ``nash_eps <= 2 * cce_eps``, within ``slack``."""
+        return cls(
+            cce_eps=cce_eps, nash_eps=nash_eps, holds=bool(nash_eps <= 2.0 * cce_eps + slack)
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,13 @@ class CheckReport:
     nash_of_marginals: GapReport
     value_consistency: ValueConsistency
     two_eps: TwoEpsCheck
+    tolerance: float
+
+
+def bound_slack(game: Game) -> float:
+    """Slack both gap inequalities get on ``game``: ``BOUND_TOL`` times its
+    largest |payoff|, so scaling the payoffs by a power of two scales it exactly."""
+    return BOUND_TOL * float(np.abs(game.payoff).max())
 
 
 def _check_shape(mu: JointDistribution, game: Game) -> None:
@@ -240,7 +251,7 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     return _best_deviation(game.payoff @ y, x @ game.payoff, base_row)
 
 
-def analyze(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> CheckReport:
+def analyze(mu: JointDistribution, game: Game) -> CheckReport:
     """Both gaps of ``mu`` and the two bounds they must satisfy, from one
     :func:`_measure` call.
 
@@ -249,11 +260,13 @@ def analyze(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> CheckR
     payoff)`` per player.  The value-consistency bound compares those two
     payoffs.  Only the row player is evaluated: the game is zero-sum, so the
     column player's absolute gap is the same number (negation of a negation),
-    an identity the test suite asserts separately.
+    an identity the test suite asserts separately.  Both bounds get the slack
+    :func:`bound_slack`, reported as ``tolerance``.
     """
     _check_shape(mu, game)
     cce, nash, joint_value, profile_value = _measure(game.payoff, mu.mass)
     lhs = abs(joint_value - profile_value)
+    tol = bound_slack(game)
     return CheckReport(
         cce=cce,
         nash_of_marginals=nash,
@@ -261,21 +274,20 @@ def analyze(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> CheckR
             lhs=lhs, bound=cce.epsilon, holds=bool(lhs <= cce.epsilon + tol)
         ),
         two_eps=TwoEpsCheck.from_levels(cce.epsilon, nash.epsilon, tol),
+        tolerance=tol,
     )
 
 
-def value_consistency_check(
-    mu: JointDistribution, game: Game, tol: float = BOUND_TOL
-) -> ValueConsistency:
+def value_consistency_check(mu: JointDistribution, game: Game) -> ValueConsistency:
     """Check that the joint's expected payoff stays within its CCE level of the
     marginal profile's payoff."""
-    return analyze(mu, game, tol).value_consistency
+    return analyze(mu, game).value_consistency
 
 
-def two_eps_check(mu: JointDistribution, game: Game, tol: float = BOUND_TOL) -> TwoEpsCheck:
+def two_eps_check(mu: JointDistribution, game: Game) -> TwoEpsCheck:
     """Check that the marginal profile's Nash level is at most twice the joint's
     CCE level."""
-    return analyze(mu, game, tol).two_eps
+    return analyze(mu, game).two_eps
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ class MixedStrategy:
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
+        if num_actions < 1:
+            raise ValueError(f"need at least 1 action, got {num_actions}")
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     @classmethod

@@ -50,6 +50,17 @@ def test_gen_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--iters", "--seed"])
+def test_a_non_integer_flag_value_gets_a_plain_message(pennies_file, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(tmp_path / "x"),
+              flag, "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer, got 'abc'" in err
+    assert "_int" not in err
+
+
 def test_gen_same_seed_same_files(tmp_path):
     for sub in ("a", "b"):
         main(["gen", "--rows", "4", "--cols", "3", "--count", "2", "--seed", "5", "--out", str(tmp_path / sub)])
@@ -150,16 +161,18 @@ def test_learn_rejects_a_negative_seed_before_the_lp(pennies_file, tmp_path, cap
 def test_learn_ratio_does_not_depend_on_the_payoff_scale(tmp_path, scale):
     payoff = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 4))
 
-    def ratio(factor, name):
+    def summary(factor, name):
         path = tmp_path / f"{name}.txt"
         save_game(make_zero_sum(factor * payoff), path)
         out = tmp_path / name
         assert main(["learn", "--game", str(path), "--iters", "2000", "--out", str(out)]) == 0
-        return json.loads((out / "summary.json").read_text())["ratio"]
+        return json.loads((out / "summary.json").read_text())
 
-    unit = ratio(1.0, "unit")
-    assert unit > 1.0
-    assert ratio(scale, "scaled") == pytest.approx(unit, rel=1e-9)
+    unit, scaled = summary(1.0, "unit"), summary(scale, "scaled")
+    assert unit["ratio"] > 1.0
+    assert scaled["ratio"] == pytest.approx(unit["ratio"], rel=1e-9)
+    assert unit["holds_2eps"] is scaled["holds_2eps"] is True
+    assert scaled["tolerance"] == pytest.approx(scale * unit["tolerance"], rel=1e-9)
 
 
 def test_learn_ratio_of_a_flat_game_is_zero(tmp_path):
@@ -277,7 +290,7 @@ def test_check_exits_one_when_a_bound_fails(pennies_file, tmp_path, monkeypatch)
     monkeypatch.setattr(
         cli_mod,
         "analyze",
-        lambda mu, game, tol: replace(analyze(mu, game, tol), two_eps=failing),
+        lambda mu, game: replace(analyze(mu, game), two_eps=failing),
     )
     assert main(["check", "--game", pennies_file, "--joint", joint]) == 1
 
@@ -339,19 +352,26 @@ def test_check_negative_mass_error_prints_a_plain_float(pennies_file, tmp_path, 
     assert capsys.readouterr().err == f"error: {joint}: negative mass -0.1 at cell (0, 1)\n"
 
 
-def test_check_respects_tolerance_env_var(pennies_file, tmp_path, monkeypatch, capsys):
-    joint = write(tmp_path, "diag.txt", DIAG_TEXT)
-    monkeypatch.setenv("CCE2NASH_TOL", "0.5")
-    assert main(["check", "--game", pennies_file, "--joint", joint, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.5
+# An exact CCE of a game whose payoffs sit near 1e9: the uniform joint of a
+# circulant game.  An absolute 1e-9 slack reported nash_eps 1.19e-07 as failing.
+OFFSET_TEXT = """3 3
+999999997 999999997 1000000000
+1000000000 999999997 999999997
+999999997 1000000000 999999997
+"""
+OFFSET_UNIFORM_TEXT = "3 3\n" + "0.1111111111111111 0.1111111111111111 0.1111111111111111\n" * 3
 
 
-def test_bad_tolerance_env_var_is_an_error(pennies_file, tmp_path, monkeypatch, capsys):
-    joint = write(tmp_path, "diag.txt", DIAG_TEXT)
-    for bad in ("-1", "nan", "oops"):
-        monkeypatch.setenv("CCE2NASH_TOL", bad)
-        assert main(["check", "--game", pennies_file, "--joint", joint]) == 2
-        assert "CCE2NASH_TOL" in capsys.readouterr().err
+def test_an_exact_cce_at_a_large_offset_passes_check_and_learn(tmp_path, capsys):
+    game = write(tmp_path, "offset.txt", OFFSET_TEXT)
+    joint = write(tmp_path, "uniform.txt", OFFSET_UNIFORM_TEXT)
+    assert main(["check", "--game", game, "--joint", joint, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nash_of_marginals"]["epsilon"] > 1e-9
+    assert report["tolerance"] == 1e-9 * 1e9
+    out = tmp_path / "run"
+    assert main(["learn", "--game", game, "--iters", "200", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["holds_2eps"] is True
 
 
 # --- value -------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cce2nash import (
     FormatError,
+    Game,
     JointDistribution,
     MixedStrategy,
     Player,
@@ -35,6 +36,34 @@ def joint_instances(draw, max_dim=8):
     rng = np.random.default_rng(seed)
     game = random_game(rng, max_dim=max_dim)
     return game, random_joint(rng, game.shape)
+
+
+def circulant(first_row) -> Game:
+    """Row ``i`` is ``first_row`` rolled right by ``i``.  Every row and column
+    holds the same payoffs, so the uniform joint is an exact CCE whose marginals
+    are an exact Nash profile."""
+    return make_zero_sum([np.roll(first_row, i) for i in range(len(first_row))])
+
+
+def uniform_joint(game: Game) -> JointDistribution:
+    return JointDistribution(np.full(game.shape, 1.0 / game.payoff.size))
+
+
+@st.composite
+def scaled_instances(draw):
+    """A (game, joint) pair, half the time a circulant game with the uniform
+    joint, with payoffs moved to magnitude 1e-200 to 1e200 and possibly offset
+    far beyond their range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        game = circulant(rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 9))))
+        mu = uniform_joint(game)
+    else:
+        game = random_game(rng, max_dim=8)
+        mu = random_joint(rng, game.shape)
+    offset = draw(st.sampled_from([0.0, 1e9, 1e12]))
+    magnitude = 10.0 ** draw(st.integers(-200, 200))
+    return make_zero_sum((game.payoff + offset) * magnitude), mu
 
 
 # --- JointDistribution type ---------------------------------------------------
@@ -275,6 +304,36 @@ def test_both_bounds_hold_on_random_instances(instance):
         expected_joint_utility(mu, game, Player.ROW)
         - expected_utility(game, Player.ROW, profile)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_instances(), st.integers(-40, 40))
+def test_verdicts_do_not_depend_on_a_power_of_two_payoff_scale(instance, k):
+    game, mu = instance
+    report = analyze(mu, game)
+    scaled = analyze(mu, make_zero_sum(game.payoff * 2.0**k))
+    # Both bounds hold on every joint, exact equilibria at large offsets included.
+    assert report.value_consistency.holds and report.two_eps.holds
+    assert scaled.value_consistency.holds == report.value_consistency.holds
+    assert scaled.two_eps.holds == report.two_eps.holds
+    # Scaling by a power of two is exact: the gaps and the slack move together.
+    assert scaled.tolerance == 2.0**k * report.tolerance
+    assert scaled.cce.epsilon == 2.0**k * report.cce.epsilon
+    assert scaled.nash_of_marginals.epsilon == 2.0**k * report.nash_of_marginals.epsilon
+
+
+@pytest.mark.parametrize("scale, offset", [(1e9, 0.0), (1e12, 0.0), (1.0, 1e9), (1.0, 1e12)])
+def test_exact_cces_of_circulant_games_pass_at_large_scale_and_offset(scale, offset):
+    # The uniform joint of 200 circulant games; an absolute 1e-9 slack failed
+    # 28, 23, 64 and 58 of them.
+    rng = np.random.default_rng(3)
+    failures = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        game = circulant(rng.uniform(-1.0, 1.0, size=n) * scale + offset)
+        report = analyze(uniform_joint(game), game)
+        failures += not (report.value_consistency.holds and report.two_eps.holds)
+    assert failures == 0
 
 
 def test_gaps_are_shift_invariant():

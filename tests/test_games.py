@@ -100,6 +100,12 @@ def test_uniform_and_point_mass():
         MixedStrategy.point_mass(3, 3)
 
 
+@pytest.mark.parametrize("num_actions", [0, -2])
+def test_uniform_over_no_actions_is_a_value_error(num_actions):
+    with pytest.raises(ValueError, match=f"need at least 1 action, got {num_actions}"):
+        MixedStrategy.uniform(num_actions)
+
+
 def test_probs_are_read_only():
     s = MixedStrategy.uniform(2)
     with pytest.raises(ValueError):
