@@ -63,6 +63,9 @@ def cmd_learn(args) -> int:
     tol = bound_slack(game)
     # Solved before self-play so a game beyond the LP's size limit fails at once.
     oracle = exact_value(game)
+    # Made before self-play, the long step, so an unusable --out fails at once.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = self_play(
         game,
         algo=args.algo,
@@ -97,8 +100,6 @@ def cmd_learn(args) -> int:
     csv_text = trajectory_csv(result.trajectory)
     json_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out / "trajectory.csv", csv_text)
     write_text_atomic(out / "summary.json", json_text)
     print(json_text if args.format == "json" else csv_text, end="")

@@ -10,6 +10,7 @@ therefore makes the averaged marginals an approximate Nash profile.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,28 +32,39 @@ class Averaging(Enum):
 
 
 # The only implementation of each update rule, on raw float arrays and with no
-# validation; ``self_play`` validates its arguments and calls these.
+# validation; ``self_play`` validates its arguments and calls these.  Each writes
+# its result into ``out`` when given (an array of the right length that shares
+# no memory with the inputs) and into a new array otherwise.
 
-def _play(algo: Algo, cumulative: np.ndarray) -> np.ndarray:
+def _play(algo: Algo, cumulative: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        weights = np.exp(cumulative - cumulative.max())  # overflow guard
-        return weights / weights.sum()
-    positive = np.maximum(cumulative, 0.0)
-    total = positive.sum()
+        weights = np.subtract(cumulative, np.maximum.reduce(cumulative), out=out)  # overflow guard
+        np.exp(weights, out=weights)
+        return np.divide(weights, np.add.reduce(weights), out=weights)
+    positive = np.maximum(cumulative, 0.0, out=out)
+    total = np.add.reduce(positive)
     if total <= 0.0:
-        return np.full(len(cumulative), 1.0 / len(cumulative))
-    return positive / total
+        positive.fill(1.0 / len(cumulative))
+        return positive
+    return np.divide(positive, total, out=positive)
 
 
 def _update(
-    algo: Algo, eta: float, cumulative: np.ndarray, utilities: np.ndarray, probs: np.ndarray
+    algo: Algo,
+    eta: float,
+    cumulative: np.ndarray,
+    utilities: np.ndarray,
+    probs: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        return cumulative + eta * utilities
-    cumulative = cumulative + (utilities - float(probs @ utilities))
+        step = np.multiply(utilities, eta, out=out)
+        return np.add(cumulative, step, out=step)
+    regret = np.subtract(utilities, float(probs @ utilities), out=out)
+    np.add(cumulative, regret, out=regret)
     if algo is Algo.REGRET_MATCHING_PLUS:
-        cumulative = np.maximum(cumulative, 0.0)
-    return cumulative
+        np.maximum(regret, 0.0, out=regret)
+    return regret
 
 
 def _eta(algo: Algo, num_actions: int, spread: float, horizon: int) -> float:
@@ -85,11 +97,13 @@ class SelfPlayResult:
     trajectory: tuple[Checkpoint, ...]
 
 
-def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    # One uniform draw mapped through the inverse CDF.
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(idx, len(probs) - 1)
+# Uniforms are drawn this many rounds at a time, two per round.
+_UNIFORM_BLOCK = 1024
+
+
+def _sample_index(u: float, probs: np.ndarray, cdf: np.ndarray) -> int:
+    # The uniform ``u`` mapped through the inverse CDF, accumulated into ``cdf``.
+    return min(bisect_right(np.add.accumulate(probs, out=cdf), u), len(probs) - 1)
 
 
 def self_play(
@@ -109,8 +123,10 @@ def self_play(
     of the two current strategies; with ``sampled`` averaging, one pure
     profile per round is drawn from their product distribution (row draw
     first, then column, one uniform each from a PCG64 generator seeded with
-    ``seed``) and a point mass is accumulated.  Results are deterministic
-    given ``(algo, col_algo, iters, seed, averaging)``.
+    ``seed``) and a point mass is accumulated.  The uniforms are drawn in
+    blocks of up to 1024 rounds from that one PCG64 stream, which yields the
+    same values as one draw at a time, so the sequence is unchanged.  Results
+    are deterministic given ``(algo, col_algo, iters, seed, averaging)``.
 
     Regret matching (+) plays the positive part of its cumulative regrets,
     normalized, and uniform when none is positive.  Multiplicative weights
@@ -154,25 +170,37 @@ def self_play(
     payoff = game.payoff / scale
     row_eta = _eta(algo, rows, game.payoff_range / scale, iters)
     col_eta = _eta(col_algo, cols, game.payoff_range / scale, iters)
-    row_cum, col_cum = np.zeros(rows), np.zeros(cols)
     rng = np.random.default_rng(seed)
 
+    # Every round writes into these buffers; each cumulative vector has a
+    # spare that its update is written into before the two are swapped.
+    row_cum, row_next = np.zeros(rows), np.empty(rows)
+    col_cum, col_next = np.zeros(cols), np.empty(cols)
+    x, row_util, row_cdf = np.empty(rows), np.empty(rows), np.empty(rows)
+    y, col_util, col_cdf = np.empty(cols), np.empty(cols), np.empty(cols)
+    outer = np.empty((rows, cols))
     joint_acc = np.zeros((rows, cols))
     trajectory = []
 
     for t in range(1, iters + 1):
-        x = _play(algo, row_cum)
-        y = _play(col_algo, col_cum)
+        _play(algo, row_cum, out=x)
+        _play(col_algo, col_cum, out=y)
 
         if averaging is Averaging.EXPECTED:
-            joint_acc += np.outer(x, y)
+            np.multiply(x[:, None], y, out=outer)
+            joint_acc += outer
         else:
-            r = _sample_index(rng, x)
-            c = _sample_index(rng, y)
+            draw = 2 * ((t - 1) % _UNIFORM_BLOCK)
+            if draw == 0:
+                uniforms = rng.random(2 * min(iters - t + 1, _UNIFORM_BLOCK)).tolist()
+            r = _sample_index(uniforms[draw], x, row_cdf)
+            c = _sample_index(uniforms[draw + 1], y, col_cdf)
             joint_acc[r, c] += 1.0
 
-        row_cum = _update(algo, row_eta, row_cum, payoff @ y, x)
-        col_cum = _update(col_algo, col_eta, col_cum, -(x @ payoff), y)
+        np.matmul(payoff, y, out=row_util)
+        np.negative(np.matmul(x, payoff, out=col_util), out=col_util)
+        row_cum, row_next = _update(algo, row_eta, row_cum, row_util, x, out=row_next), row_cum
+        col_cum, col_next = _update(col_algo, col_eta, col_cum, col_util, y, out=col_next), col_cum
 
         if t % log_every == 0 or t == iters:
             # Normalizing by the accumulated float total (rather than by t)

@@ -140,6 +140,23 @@ def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
     assert not out.exists()
 
 
+def test_learn_refuses_an_unusable_out_path_before_self_play(
+    pennies_file, tmp_path, capsys, monkeypatch
+):
+    import cce2nash.cli as cli_mod
+
+    def no_self_play(*args, **kwargs):
+        raise AssertionError("self_play ran before the output directory was made")
+
+    monkeypatch.setattr(cli_mod, "self_play", no_self_play)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    argv = ["learn", "--game", pennies_file, "--iters", "300000", "--out", str(out)]
+    assert main(argv) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_learn_rejects_a_negative_seed_before_the_lp(pennies_file, tmp_path, capsys, monkeypatch):
     import cce2nash.cli as cli_mod
 

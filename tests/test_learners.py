@@ -17,7 +17,7 @@ from cce2nash import (
     self_play,
     trajectory_csv,
 )
-from cce2nash.learners import _eta, _play, _update
+from cce2nash.learners import _eta, _play, _sample_index, _update
 from helpers import PENNIES, random_game
 
 RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS
@@ -75,6 +75,37 @@ def test_update_mw_with_zero_eta_keeps_strategy():
     before = _play(MW, cumulative)
     after = _play(MW, _update(MW, 0.0, cumulative, np.array([5.0, -2.0, 1.0]), before))
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+def test_rules_write_into_out_with_the_bits_of_the_allocating_call(algo):
+    rng = np.random.default_rng(67)
+    utilities = rng.uniform(-1.0, 1.0, size=5)
+    # positive regrets, none positive (the uniform fallback) and large log-weights
+    for cumulative in (rng.uniform(-2.0, 2.0, size=5), -rng.uniform(0.0, 2.0, size=5),
+                       rng.uniform(-1.0, 1.0, size=5) * 1e3):
+        before = cumulative.copy()
+        out = np.empty(5)
+        assert _play(algo, cumulative, out=out) is out
+        assert out.tobytes() == _play(algo, cumulative).tobytes()
+        probs = out.copy()
+        assert _update(algo, 0.3, cumulative, utilities, probs, out=out) is out
+        assert out.tobytes() == _update(algo, 0.3, cumulative, utilities, probs).tobytes()
+        assert cumulative.tobytes() == before.tobytes()
+
+
+def test_sample_index_never_draws_a_zero_probability_action():
+    cdf = np.empty(3)
+    # u exactly on a CDF step moves past the actions of probability 0
+    assert _sample_index(0.5, np.array([0.5, 0.0, 0.5]), cdf) == 2
+    assert np.array_equal(cdf, [0.5, 0.5, 1.0])
+    assert _sample_index(0.0, np.array([0.0, 1.0]), cdf[:2]) == 1
+    assert _sample_index(0.0, np.array([1.0, 0.0, 0.0]), cdf) == 0
+
+
+def test_sample_index_above_the_accumulated_total_is_the_last_action():
+    # rounding can leave the probabilities summing to just under u
+    assert _sample_index(0.75, np.array([0.25, 0.25]), np.empty(2)) == 1
 
 
 def test_rm_plus_cumulative_never_negative_over_random_play():
@@ -181,16 +212,19 @@ def reference_joint(game, algo, col_algo, iters, seed, averaging):
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
+# 2,100 rounds cross the sampler's blocks of 1,024 uniforms; 1×k and k×1 games
+# give one player a single action.
+@pytest.mark.parametrize("shape, iters", [((5, 7), 300), ((5, 7), 2100), ((1, 6), 2100), ((6, 1), 2100)])
 @pytest.mark.parametrize("algo, col_algo", [
     (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
     (Algo.REGRET_MATCHING_PLUS, Algo.REGRET_MATCHING_PLUS),
     (Algo.MULTIPLICATIVE_WEIGHTS, Algo.MULTIPLICATIVE_WEIGHTS),
     (Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS),
 ])
-def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, averaging):
-    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
-    result = self_play(g, algo, iters=300, seed=4, averaging=averaging, col_algo=col_algo)
-    expected = reference_joint(g, algo, col_algo, 300, 4, averaging)
+def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, shape, iters, averaging):
+    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=shape))
+    result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, col_algo=col_algo)
+    expected = reference_joint(g, algo, col_algo, iters, 4, averaging)
     assert np.array_equal(result.empirical_joint.mass, expected)
 
 
