@@ -10,7 +10,6 @@ therefore makes the averaged marginals an approximate Nash profile.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,13 +96,27 @@ class SelfPlayResult:
     trajectory: tuple[Checkpoint, ...]
 
 
-# Uniforms are drawn this many rounds at a time, two per round.
-_UNIFORM_BLOCK = 1024
+def _shift(payoff: np.ndarray) -> float:
+    """The payoffs' midpoint when every payoff lies within a factor of 2 of
+    it, else 0.  Subtracting it is then exact (Sterbenz), so a game offset far
+    from 0 keeps its payoff differences, and ordinary games stay unshifted."""
+    high, low = float(payoff.max()), float(payoff.min())
+    mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
+    if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
+        return mid
+    return 0.0
 
 
-def _sample_index(u: float, probs: np.ndarray, cdf: np.ndarray) -> int:
-    # The uniform ``u`` mapped through the inverse CDF, accumulated into ``cdf``.
-    return min(bisect_right(np.add.accumulate(probs, out=cdf), u), len(probs) - 1)
+# Rounds of play buffered before they are folded into the joint.
+_BLOCK = 64
+
+
+def _sample_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    # Each row's uniform mapped through the inverse CDF of that row: the count
+    # of CDF entries at or below it, which is where ``bisect_right`` puts it
+    # (``accumulate`` sums each row in order, so the CDF never decreases).
+    below = np.add.accumulate(probs, axis=1) <= uniforms[:, None]
+    return np.minimum(below.sum(axis=1), probs.shape[1] - 1)
 
 
 def self_play(
@@ -123,10 +136,15 @@ def self_play(
     of the two current strategies; with ``sampled`` averaging, one pure
     profile per round is drawn from their product distribution (row draw
     first, then column, one uniform each from a PCG64 generator seeded with
-    ``seed``) and a point mass is accumulated.  The uniforms are drawn in
-    blocks of up to 1024 rounds from that one PCG64 stream, which yields the
-    same values as one draw at a time, so the sequence is unchanged.  Results
-    are deterministic given ``(algo, col_algo, iters, seed, averaging)``.
+    ``seed``) and a point mass is accumulated.  Play is folded into the joint
+    64 rounds at a time, at rounds 64, 128, ... whatever ``log_every`` is.
+    Expected play adds each block's sum of outer products, one product
+    ``X.T @ Y`` of its stacked strategies, to the running sum, and a
+    checkpoint inside a block reads that sum plus the product of the rounds
+    so far.  Sampled play draws a block's uniforms at once from the one PCG64
+    stream, the same values as one draw at a time, and adds its counts
+    exactly, so the sampled joint is that of one draw per round.  Results are
+    deterministic given ``(algo, col_algo, iters, seed, averaging)``.
 
     Regret matching (+) plays the positive part of its cumulative regrets,
     normalized, and uniform when none is positive.  Multiplicative weights
@@ -137,6 +155,10 @@ def self_play(
     divided by :func:`~cce2nash.games.payoff_scale`, a power of two, so the
     played strategies are those of the unscaled game, bit for bit away from
     subnormals, and cumulative regrets cannot overflow at any payoff scale.
+    When every payoff lies within a factor of 2 of the payoffs' midpoint, the
+    midpoint is subtracted first, exactly; all three rules are invariant under
+    that shift, and it keeps the low bits of a game offset far from 0.
+    Games with payoffs of both signs are never shifted.
     Checkpoints are measured on the original game.
 
     Args:
@@ -167,45 +189,56 @@ def self_play(
 
     rows, cols = game.shape
     scale = payoff_scale(game)
-    payoff = game.payoff / scale
+    payoff = (game.payoff - _shift(game.payoff)) / scale
     row_eta = _eta(algo, rows, game.payoff_range / scale, iters)
     col_eta = _eta(col_algo, cols, game.payoff_range / scale, iters)
+    sampled = averaging is Averaging.SAMPLED
     rng = np.random.default_rng(seed)
 
-    # Every round writes into these buffers; each cumulative vector has a
+    # Every round writes into these buffers.  Each round's strategies are
+    # played into the next row of the block; each cumulative vector has a
     # spare that its update is written into before the two are swapped.
     row_cum, row_next = np.zeros(rows), np.empty(rows)
     col_cum, col_next = np.zeros(cols), np.empty(cols)
-    x, row_util, row_cdf = np.empty(rows), np.empty(rows), np.empty(rows)
-    y, col_util, col_cdf = np.empty(cols), np.empty(cols), np.empty(cols)
-    outer = np.empty((rows, cols))
+    block_x, block_y = np.empty((_BLOCK, rows)), np.empty((_BLOCK, cols))
+    x_rows, y_rows = list(block_x), list(block_y)
+    row_util, col_util = np.empty(rows), np.empty(cols)
+    block_sum = np.empty((rows, cols))
     joint_acc = np.zeros((rows, cols))
+    filled = 0
     trajectory = []
 
     for t in range(1, iters + 1):
-        _play(algo, row_cum, out=x)
-        _play(col_algo, col_cum, out=y)
-
-        if averaging is Averaging.EXPECTED:
-            np.multiply(x[:, None], y, out=outer)
-            joint_acc += outer
-        else:
-            draw = 2 * ((t - 1) % _UNIFORM_BLOCK)
-            if draw == 0:
-                uniforms = rng.random(2 * min(iters - t + 1, _UNIFORM_BLOCK)).tolist()
-            r = _sample_index(uniforms[draw], x, row_cdf)
-            c = _sample_index(uniforms[draw + 1], y, col_cdf)
-            joint_acc[r, c] += 1.0
+        x = _play(algo, row_cum, out=x_rows[filled])
+        y = _play(col_algo, col_cum, out=y_rows[filled])
+        filled += 1
 
         np.matmul(payoff, y, out=row_util)
         np.negative(np.matmul(x, payoff, out=col_util), out=col_util)
         row_cum, row_next = _update(algo, row_eta, row_cum, row_util, x, out=row_next), row_cum
         col_cum, col_next = _update(col_algo, col_eta, col_cum, col_util, y, out=col_next), col_cum
 
-        if t % log_every == 0 or t == iters:
+        checkpoint = t % log_every == 0 or t == iters
+        # Blocks end every _BLOCK rounds whatever log_every is.  Sampled counts
+        # are exact integers, so a checkpoint may also end one early.
+        if filled == _BLOCK or (sampled and checkpoint):
+            if sampled:
+                uniforms = rng.random((filled, 2))
+                r = _sample_indices(block_x[:filled], uniforms[:, 0])
+                c = _sample_indices(block_y[:filled], uniforms[:, 1])
+                np.add.at(joint_acc, (r, c), 1.0)
+            else:
+                joint_acc += np.matmul(block_x.T, block_y, out=block_sum)
+            filled = 0
+
+        if checkpoint:
+            acc = joint_acc
+            if filled:  # expected play of a part block, read without ending it
+                acc = np.matmul(block_x[:filled].T, block_y[:filled], out=block_sum)
+                acc += joint_acc
             # Normalizing by the accumulated float total (rather than by t)
             # keeps the average summing to 1 within rounding for long runs.
-            mass = joint_acc / joint_acc.sum()
+            mass = acc / acc.sum()
             cce, nash, joint_value, _ = _measure(game.payoff, mass)
             trajectory.append(Checkpoint(t, cce.epsilon, nash.epsilon, avg_row_payoff=joint_value))
 

@@ -336,6 +336,42 @@ def test_exact_cces_of_circulant_games_pass_at_large_scale_and_offset(scale, off
     assert failures == 0
 
 
+def tightness_witness(k, scale, offset):
+    """The game ``[I_k | 0]`` (k x (k+1)) and a joint with a = 1/(2k^2) on each
+    (i, i) and 1/k - a on each (i, i+1 mod k)."""
+    payoff = np.hstack([np.eye(k), np.zeros((k, 1))]) * scale + offset
+    a = 1.0 / (2 * k * k)
+    mass = np.zeros((k, k + 1))
+    for i in range(k):
+        mass[i, i] = a
+        mass[i, (i + 1) % k] = 1.0 / k - a
+    return make_zero_sum(payoff), JointDistribution(mass)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("scale, offset", [
+    (1.0, 0.0), (2.0**40, 0.0), (2.0**-40, 0.0), (1.0, 2.0**40), (1.0, -(2.0**40)),
+])
+def test_both_bounds_are_tight_on_the_witness_family(k, scale, offset):
+    # Both inequalities hold with equality, exactly in binary, so neither the
+    # constant 2 nor the value-consistency bound can be lowered.
+    game, mu = tightness_witness(k, scale, offset)
+    report = analyze(mu, game)
+    assert report.cce.epsilon > 0.0
+    assert report.nash_of_marginals.epsilon == 2.0 * report.cce.epsilon
+    assert report.value_consistency.lhs == report.value_consistency.bound
+    assert report.two_eps.holds and report.value_consistency.holds
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_both_bounds_hold_on_the_witness_family_at_offset_2_to_52(k):
+    # ulp(2**52) is 1, so both gaps quantize to 0 here and only the bounds are
+    # asserted.
+    game, mu = tightness_witness(k, 1.0, 2.0**52)
+    report = analyze(mu, game)
+    assert report.two_eps.holds and report.value_consistency.holds
+
+
 def test_gaps_are_shift_invariant():
     rng = np.random.default_rng(19)
     for _ in range(40):

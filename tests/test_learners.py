@@ -17,7 +17,7 @@ from cce2nash import (
     self_play,
     trajectory_csv,
 )
-from cce2nash.learners import _eta, _play, _sample_index, _update
+from cce2nash.learners import _eta, _play, _sample_indices, _shift, _update
 from helpers import PENNIES, random_game
 
 RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS
@@ -94,18 +94,16 @@ def test_rules_write_into_out_with_the_bits_of_the_allocating_call(algo):
         assert cumulative.tobytes() == before.tobytes()
 
 
-def test_sample_index_never_draws_a_zero_probability_action():
-    cdf = np.empty(3)
+def test_sample_indices_never_draw_a_zero_probability_action():
     # u exactly on a CDF step moves past the actions of probability 0
-    assert _sample_index(0.5, np.array([0.5, 0.0, 0.5]), cdf) == 2
-    assert np.array_equal(cdf, [0.5, 0.5, 1.0])
-    assert _sample_index(0.0, np.array([0.0, 1.0]), cdf[:2]) == 1
-    assert _sample_index(0.0, np.array([1.0, 0.0, 0.0]), cdf) == 0
+    probs = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert _sample_indices(probs, np.array([0.5, 0.0, 0.0])).tolist() == [2, 0, 1]
+    assert _sample_indices(np.array([[0.0, 1.0]]), np.array([0.0])).tolist() == [1]
 
 
-def test_sample_index_above_the_accumulated_total_is_the_last_action():
+def test_sample_indices_above_the_accumulated_total_are_the_last_action():
     # rounding can leave the probabilities summing to just under u
-    assert _sample_index(0.75, np.array([0.25, 0.25]), np.empty(2)) == 1
+    assert _sample_indices(np.array([[0.25, 0.25]]), np.array([0.75])).tolist() == [1]
 
 
 def test_rm_plus_cumulative_never_negative_over_random_play():
@@ -184,8 +182,9 @@ def test_trajectory_checkpoints_at_log_every_and_final():
             assert point.avg_row_payoff == expected_joint_utility(mu, g, Player.ROW)
 
 
-def reference_joint(game, algo, col_algo, iters, seed, averaging):
-    """Self-play on the unscaled payoffs, one update-rule call at a time."""
+def reference_play(game, algo, col_algo, iters):
+    """Each round's strategies in self-play on the unscaled payoffs, one
+    update-rule call at a time."""
 
     def eta(rule, k):  # the fixed-horizon step size of the self_play docstring
         if rule is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
@@ -193,28 +192,43 @@ def reference_joint(game, algo, col_algo, iters, seed, averaging):
         return 0.0
 
     row, col = np.zeros(game.rows), np.zeros(game.cols)
-    rng = np.random.default_rng(seed)
-
-    def draw(probs):  # inverse CDF of one uniform, row player first
-        index = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        return min(index, len(probs) - 1)
-
-    acc = np.zeros(game.shape)
     for _ in range(iters):
         x, y = _play(algo, row), _play(col_algo, col)
-        if averaging is Averaging.EXPECTED:
-            acc += np.outer(x, y)
-        else:
-            acc[draw(x), draw(y)] += 1.0
+        yield x, y
         row = _update(algo, eta(algo, game.rows), row, game.payoff @ y, x)
         col = _update(col_algo, eta(col_algo, game.cols), col, -(x @ game.payoff), y)
+
+
+def reference_joint(game, algo, col_algo, iters, seed, averaging):
+    """The averaged joint of ``reference_play``.  Expected play is summed in the
+    documented order: one ``X.T @ Y`` per block of 64 rounds (the last may be
+    shorter), each added to the running total."""
+    rounds = list(reference_play(game, algo, col_algo, iters))
+    acc = np.zeros(game.shape)
+    if averaging is Averaging.EXPECTED:
+        for start in range(0, iters, 64):
+            xs, ys = zip(*rounds[start:start + 64])
+            acc += np.array(xs).T @ np.array(ys)
+    else:
+        rng = np.random.default_rng(seed)
+
+        def draw(probs):  # inverse CDF of one uniform, row player first
+            index = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+            return min(index, len(probs) - 1)
+
+        for x, y in rounds:
+            acc[draw(x), draw(y)] += 1.0
     return acc / acc.sum()
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
-# 2,100 rounds cross the sampler's blocks of 1,024 uniforms; 1×k and k×1 games
-# give one player a single action.
-@pytest.mark.parametrize("shape, iters", [((5, 7), 300), ((5, 7), 2100), ((1, 6), 2100), ((6, 1), 2100)])
+# 63, 64 and 65 rounds end inside, at and just past the first block of 64;
+# 2,100 rounds end inside the 33rd.  1×k and k×1 games give one player a
+# single action.
+@pytest.mark.parametrize("shape, iters", [
+    ((5, 7), 63), ((5, 7), 64), ((5, 7), 65), ((5, 7), 300),
+    ((5, 7), 2100), ((1, 6), 2100), ((6, 1), 2100),
+])
 @pytest.mark.parametrize("algo, col_algo", [
     (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
     (Algo.REGRET_MATCHING_PLUS, Algo.REGRET_MATCHING_PLUS),
@@ -226,6 +240,38 @@ def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, shape,
     result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, col_algo=col_algo)
     expected = reference_joint(g, algo, col_algo, iters, 4, averaging)
     assert np.array_equal(result.empirical_joint.mass, expected)
+
+
+@pytest.mark.parametrize("averaging", list(Averaging))
+@pytest.mark.parametrize("iters", [63, 64, 65, 700])
+def test_joint_and_final_checkpoint_do_not_depend_on_log_every(averaging, iters):
+    g = make_zero_sum(np.random.default_rng(61).uniform(-1.0, 1.0, size=(4, 6)))
+    runs = [self_play(g, MW, iters=iters, seed=5, averaging=averaging, log_every=every)
+            for every in (1, 7, 64, 1000)]
+    for run in runs[1:]:
+        assert run.empirical_joint.mass.tobytes() == runs[0].empirical_joint.mass.tobytes()
+        assert run.trajectory[-1] == runs[0].trajectory[-1]
+    # every checkpoint is that of the run with a checkpoint each round
+    every_round = {point.t: point for point in runs[0].trajectory}
+    for run in runs[1:]:
+        for point in run.trajectory:
+            assert point == every_round[point.t]
+
+
+@pytest.mark.parametrize("iters", [1, 64, 65, 1000, 5000])
+def test_block_joint_is_within_the_blocked_summation_bound_of_the_exact_sum(iters):
+    # Each cell sums 64 products per block and then ceil(T/64) blocks, so to
+    # first order it errs by at most 64 + ceil(T/64) roundings (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 4.2); the normalization
+    # adds one.  The errors measured here stay far below that.
+    g = make_zero_sum(np.random.default_rng(67).uniform(-1.0, 1.0, size=(6, 5)))
+    result = self_play(g, RM_PLUS, iters=iters, col_algo=MW)
+    rounds = list(reference_play(g, RM_PLUS, MW, iters))
+    cells = np.array([[math.fsum(x[r] * y[c] for x, y in rounds) for c in range(g.cols)]
+                      for r in range(g.rows)])
+    exact = cells / math.fsum(cells.ravel())
+    bound = (64 + math.ceil(iters / 64) + 1) * 2.0**-53
+    assert (np.abs(result.empirical_joint.mass - exact) <= bound * exact).all()
 
 
 def test_two_eps_bound_holds_along_the_trajectory():
@@ -251,6 +297,29 @@ def test_rm_external_regret_within_standard_bound():
         col_bound = 2.0 * spread * math.sqrt(g.cols * iters)
         assert iters * max(report.row_gain, 0.0) <= row_bound
         assert iters * max(report.col_gain, 0.0) <= col_bound
+
+
+def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it():
+    assert _shift(np.array([[2.0, 4.0]])) == 3.0
+    assert _shift(np.array([[-4.0, -2.0]])) == -3.0
+    assert _shift(np.array([[7.0]])) == 7.0
+    # 1 < 2.5 / 2, mixed signs and an all-zero game take no shift
+    assert _shift(np.array([[1.0, 4.0]])) == _shift(np.array([[-4.0, -1.0]])) == 0.0
+    assert _shift(np.array([[-1.0, 3.0]])) == _shift(np.zeros((2, 2))) == 0.0
+    # the midpoint of payoffs near the largest float does not overflow
+    assert _shift(np.array([[1.5e308, 1.7e308]])) == 1.6e308
+
+
+@pytest.mark.parametrize("offset", [1e12, -1e12])
+def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
+    # The rules see the payoffs minus their midpoint, so an offset costs MW
+    # none of the payoff differences it learns from.  Without the shift the
+    # gap read 2.3 times that of the same game at offset 0.
+    base = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8))
+    g = make_zero_sum(base + offset)
+    at_zero = make_zero_sum(g.payoff - offset)  # exact, by Sterbenz
+    eps = self_play(g, MW, iters=3000).trajectory[-1].cce_eps
+    assert eps <= 1.1 * self_play(at_zero, MW, iters=3000).trajectory[-1].cce_eps
 
 
 def test_rm_meets_its_bound_at_the_largest_payoff_scales():
