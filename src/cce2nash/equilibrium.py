@@ -12,7 +12,9 @@ same deviation payoffs ``A @ y`` and ``x @ A`` against the joint payoff
 ``sum(mu * A)`` and the profile payoff ``x A y`` respectively, so per player
 ``nash_gain = cce_gain ± (joint payoff − profile payoff)``.  ``_measure``
 computes each of these once, for ``analyze``, ``cce_gap`` and every self-play
-checkpoint.
+checkpoint.  Every gap is scored on the payoffs minus their exact shift
+(``_centered``): the gaps do not change under a shift, and a game offset far
+from 0 would otherwise round each gain to the offset's ulp.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .games import (
     MixedStrategy,
     Player,
     StrategyProfile,
-    expected_utility,
+    _check_profile,
+    _shift,
     format_matrix,
     load_file,
     parse_matrix,
@@ -217,6 +220,13 @@ def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapRepor
     )
 
 
+def _centered(payoff: np.ndarray) -> tuple[np.ndarray, float]:
+    """``payoff − _shift(payoff)``, which is exact, and the shift; ``payoff``
+    itself when the shift is 0, so ordinary games copy nothing."""
+    shift = _shift(payoff)
+    return (payoff - shift if shift else payoff), shift
+
+
 def _measure(payoff: np.ndarray, mass: np.ndarray) -> tuple[GapReport, GapReport, float, float]:
     """CCE gap, marginals' Nash gap, joint row payoff and profile row payoff of
     a ``mass`` shaped like ``payoff``; validates nothing.  ``(x @ A) @ y`` is the
@@ -237,7 +247,7 @@ def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     at a pure strategy.
     """
     _check_shape(mu, game)
-    return _measure(game.payoff, mu.mass)[0]
+    return _measure(_centered(game.payoff)[0], mu.mass)[0]
 
 
 def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
@@ -246,9 +256,12 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     Pure best responses suffice by linearity; ``epsilon`` is zero exactly at a
     Nash equilibrium and measures exploitability otherwise.
     """
+    _check_profile(game, profile)
+    payoff = _centered(game.payoff)[0]
     x, y = profile.row.probs, profile.col.probs
-    base_row = expected_utility(game, Player.ROW, profile)
-    return _best_deviation(game.payoff @ y, x @ game.payoff, base_row)
+    xa = x @ payoff
+    # (x @ A) @ y is the order expected_utility evaluates the profile payoff in.
+    return _best_deviation(payoff @ y, xa, float(xa @ y))
 
 
 def analyze(mu: JointDistribution, game: Game) -> CheckReport:
@@ -264,7 +277,7 @@ def analyze(mu: JointDistribution, game: Game) -> CheckReport:
     :func:`bound_slack`, reported as ``tolerance``.
     """
     _check_shape(mu, game)
-    cce, nash, joint_value, profile_value = _measure(game.payoff, mu.mass)
+    cce, nash, joint_value, profile_value = _measure(_centered(game.payoff)[0], mu.mass)
     lhs = abs(joint_value - profile_value)
     tol = bound_slack(game)
     return CheckReport(

@@ -151,13 +151,28 @@ def payoff_scale(game: Game) -> float:
     return math.ldexp(1.0, math.frexp(spread)[1])
 
 
-def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> float:
-    """Expected utility of ``player`` under the product distribution of ``profile``."""
+def _shift(payoff: np.ndarray) -> float:
+    """The payoffs' midpoint when every payoff lies within a factor of 2 of
+    it, else 0.  Subtracting it is then exact (Sterbenz), so a game offset far
+    from 0 keeps its payoff differences, and ordinary games stay unshifted."""
+    high, low = float(payoff.max()), float(payoff.min())
+    mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
+    if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
+        return mid
+    return 0.0
+
+
+def _check_profile(game: Game, profile: StrategyProfile) -> None:
     if len(profile.row) != game.rows or len(profile.col) != game.cols:
         raise ValueError(
             f"profile has shape {len(profile.row)}x{len(profile.col)} "
             f"but game is {game.rows}x{game.cols}"
         )
+
+
+def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> float:
+    """Expected utility of ``player`` under the product distribution of ``profile``."""
+    _check_profile(game, profile)
     value = float(profile.row.probs @ game.payoff @ profile.col.probs)
     return value if player is Player.ROW else -value
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import JointDistribution, _measure, marginal_profile
+from .equilibrium import JointDistribution, _centered, _measure, marginal_profile
 from .games import Game, StrategyProfile, payoff_scale
 
 
@@ -30,40 +30,49 @@ class Averaging(Enum):
     SAMPLED = "sampled"
 
 
-# The only implementation of each update rule, on raw float arrays and with no
-# validation; ``self_play`` validates its arguments and calls these.  Each writes
-# its result into ``out`` when given (an array of the right length that shares
-# no memory with the inputs) and into a new array otherwise.
+def _rule(algo: Algo, eta: float, k: int):
+    """The ``(play, update)`` functions of one player's rule with ``k`` actions,
+    bound once per run; the only implementation of each rule.
 
-def _play(algo: Algo, cumulative: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    ``play(cumulative, out)`` writes the strategy into ``out``, and
+    ``update(cumulative, utilities, probs, out)`` writes the next cumulative
+    vector into ``out``; each returns ``out``, which must share no memory with
+    the inputs.  They validate nothing.
+    """
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        weights = np.subtract(cumulative, np.maximum.reduce(cumulative), out=out)  # overflow guard
-        np.exp(weights, out=weights)
-        return np.divide(weights, np.add.reduce(weights), out=weights)
-    positive = np.maximum(cumulative, 0.0, out=out)
-    total = np.add.reduce(positive)
-    if total <= 0.0:
-        positive.fill(1.0 / len(cumulative))
-        return positive
-    return np.divide(positive, total, out=positive)
 
+        def play(cumulative, out):
+            np.subtract(cumulative, np.maximum.reduce(cumulative), out=out)  # overflow guard
+            np.exp(out, out=out)
+            return np.divide(out, np.add.reduce(out), out=out)
 
-def _update(
-    algo: Algo,
-    eta: float,
-    cumulative: np.ndarray,
-    utilities: np.ndarray,
-    probs: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    if algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        step = np.multiply(utilities, eta, out=out)
-        return np.add(cumulative, step, out=step)
-    regret = np.subtract(utilities, float(probs @ utilities), out=out)
-    np.add(cumulative, regret, out=regret)
-    if algo is Algo.REGRET_MATCHING_PLUS:
-        np.maximum(regret, 0.0, out=regret)
-    return regret
+        def update(cumulative, utilities, probs, out):
+            np.multiply(utilities, eta, out=out)
+            return np.add(cumulative, out, out=out)
+
+        return play, update
+
+    zeros, uniform = np.zeros(k), 1.0 / k
+    clip = algo is Algo.REGRET_MATCHING_PLUS
+
+    def play(cumulative, out):
+        # RM+ regrets start at +0 and its update clips them at +0 (maximum
+        # turns -0.0 into +0.0 too), so their positive part is themselves.
+        positive = cumulative if clip else np.maximum(cumulative, zeros, out=out)
+        total = np.add.reduce(positive)
+        if total <= 0.0:
+            out.fill(uniform)
+            return out
+        return np.divide(positive, total, out=out)
+
+    def update(cumulative, utilities, probs, out):
+        np.subtract(utilities, probs.dot(utilities), out=out)
+        np.add(cumulative, out, out=out)
+        if clip:
+            np.maximum(out, zeros, out=out)
+        return out
+
+    return play, update
 
 
 def _eta(algo: Algo, num_actions: int, spread: float, horizon: int) -> float:
@@ -94,17 +103,6 @@ class SelfPlayResult:
     empirical_joint: JointDistribution
     avg_profile: StrategyProfile
     trajectory: tuple[Checkpoint, ...]
-
-
-def _shift(payoff: np.ndarray) -> float:
-    """The payoffs' midpoint when every payoff lies within a factor of 2 of
-    it, else 0.  Subtracting it is then exact (Sterbenz), so a game offset far
-    from 0 keeps its payoff differences, and ordinary games stay unshifted."""
-    high, low = float(payoff.max()), float(payoff.min())
-    mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
-    if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
-        return mid
-    return 0.0
 
 
 # Rounds of play buffered before they are folded into the joint.
@@ -147,7 +145,8 @@ def self_play(
     deterministic given ``(algo, col_algo, iters, seed, averaging)``.
 
     Regret matching (+) plays the positive part of its cumulative regrets,
-    normalized, and uniform when none is positive.  Multiplicative weights
+    normalized, and uniform when none is positive; RM+ clips its regrets at 0
+    in every update, so it plays them as they are.  Multiplicative weights
     plays the softmax of its log-weights, which grow by ``eta`` times each
     round's utilities, with the fixed-horizon step size
     ``eta = sqrt(8 ln k / iters) / range`` for a player with ``k`` actions
@@ -158,8 +157,12 @@ def self_play(
     When every payoff lies within a factor of 2 of the payoffs' midpoint, the
     midpoint is subtracted first, exactly; all three rules are invariant under
     that shift, and it keeps the low bits of a game offset far from 0.
-    Games with payoffs of both signs are never shifted.
-    Checkpoints are measured on the original game.
+    Games with payoffs of both signs are never shifted.  Each player's rule
+    is bound once per run, and the column player's utilities are ``x @ -A``
+    with ``-A`` negated once per run, which is ``-(x @ A)`` exactly.
+    Checkpoints measure the gaps on the shifted but unscaled payoffs, as
+    :func:`~cce2nash.equilibrium.analyze` does, and add the shift back to
+    ``avg_row_payoff``.
 
     Args:
         game: zero-sum game to play.
@@ -189,9 +192,12 @@ def self_play(
 
     rows, cols = game.shape
     scale = payoff_scale(game)
-    payoff = (game.payoff - _shift(game.payoff)) / scale
-    row_eta = _eta(algo, rows, game.payoff_range / scale, iters)
-    col_eta = _eta(col_algo, cols, game.payoff_range / scale, iters)
+    centered, shift = _centered(game.payoff)
+    payoff = centered / scale
+    neg_payoff = -payoff  # the column player's utilities, exactly
+    spread = game.payoff_range / scale
+    row_play, row_update = _rule(algo, _eta(algo, rows, spread, iters), rows)
+    col_play, col_update = _rule(col_algo, _eta(col_algo, cols, spread, iters), cols)
     sampled = averaging is Averaging.SAMPLED
     rng = np.random.default_rng(seed)
 
@@ -209,14 +215,14 @@ def self_play(
     trajectory = []
 
     for t in range(1, iters + 1):
-        x = _play(algo, row_cum, out=x_rows[filled])
-        y = _play(col_algo, col_cum, out=y_rows[filled])
+        x = row_play(row_cum, x_rows[filled])
+        y = col_play(col_cum, y_rows[filled])
         filled += 1
 
-        np.matmul(payoff, y, out=row_util)
-        np.negative(np.matmul(x, payoff, out=col_util), out=col_util)
-        row_cum, row_next = _update(algo, row_eta, row_cum, row_util, x, out=row_next), row_cum
-        col_cum, col_next = _update(col_algo, col_eta, col_cum, col_util, y, out=col_next), col_cum
+        payoff.dot(y, row_util)
+        x.dot(neg_payoff, col_util)
+        row_cum, row_next = row_update(row_cum, row_util, x, row_next), row_cum
+        col_cum, col_next = col_update(col_cum, col_util, y, col_next), col_cum
 
         checkpoint = t % log_every == 0 or t == iters
         # Blocks end every _BLOCK rounds whatever log_every is.  Sampled counts
@@ -239,7 +245,9 @@ def self_play(
             # Normalizing by the accumulated float total (rather than by t)
             # keeps the average summing to 1 within rounding for long runs.
             mass = acc / acc.sum()
-            cce, nash, joint_value, _ = _measure(game.payoff, mass)
+            cce, nash, joint_value, _ = _measure(centered, mass)
+            if shift:
+                joint_value += shift
             trajectory.append(Checkpoint(t, cce.epsilon, nash.epsilon, avg_row_payoff=joint_value))
 
     # The final checkpoint's mass is the result.  Every term added is nonnegative

@@ -180,8 +180,9 @@ def exact_value(game: Game) -> ValueSolution:
         ValueError: if the game exceeds 200×200, or its payoff range is
             2**1023 or more (``s`` would overflow).
         SimplexLimitExceeded: if the pivot budget of ``100·(rows+cols+2)``
-            runs out (not expected: the simplex terminates, and a uniform
-            random 200×200 game takes 750 to 1,000 of its 40,200 pivots).
+            runs out (not expected: the simplex terminates, and the uniform
+            random 200×200 games ``default_rng(s).uniform(-1, 1, (200, 200))``
+            for seeds ``s`` = 0 to 7 take 664 to 992 of its 40,200 pivots).
     """
     rows, cols = game.shape
     if rows > MAX_VALUE_DIM or cols > MAX_VALUE_DIM:

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cce2nash import TwoEpsCheck, analyze, exact_value, load_game, make_zero_sum, save_game
+from cce2nash import (
+    TwoEpsCheck, analyze, exact_value, load_game, load_joint, make_zero_sum, save_game,
+)
 from cce2nash.cli import main
 from helpers import ASYM, PENNIES
 
@@ -370,7 +372,8 @@ def test_check_negative_mass_error_prints_a_plain_float(pennies_file, tmp_path, 
 
 
 # An exact CCE of a game whose payoffs sit near 1e9: the uniform joint of a
-# circulant game.  An absolute 1e-9 slack reported nash_eps 1.19e-07 as failing.
+# circulant game.  An absolute 1e-9 slack reported nash_eps 1.19e-07 as failing;
+# scored on the payoffs minus their midpoint 999999998.5, it reads 5.6e-17.
 OFFSET_TEXT = """3 3
 999999997 999999997 1000000000
 1000000000 999999997 999999997
@@ -384,7 +387,9 @@ def test_an_exact_cce_at_a_large_offset_passes_check_and_learn(tmp_path, capsys)
     joint = write(tmp_path, "uniform.txt", OFFSET_UNIFORM_TEXT)
     assert main(["check", "--game", game, "--joint", joint, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["nash_of_marginals"]["epsilon"] > 1e-9
+    centered = analyze(load_joint(joint), make_zero_sum(load_game(game).payoff - 999999998.5))
+    assert report["cce"]["epsilon"] == centered.cce.epsilon
+    assert report["nash_of_marginals"]["epsilon"] == centered.nash_of_marginals.epsilon
     assert report["tolerance"] == 1e-9 * 1e9
     out = tmp_path / "run"
     assert main(["learn", "--game", game, "--iters", "200", "--out", str(out)]) == 0

@@ -24,6 +24,7 @@ from cce2nash import (
     two_eps_check,
     value_consistency_check,
 )
+from cce2nash.games import _shift
 from helpers import ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed
 
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -297,12 +298,14 @@ def test_both_bounds_hold_on_random_instances(instance):
     game, mu = instance
     assert value_consistency_check(mu, game).holds
     assert two_eps_check(mu, game).holds
-    # analyze's shared kernel agrees bit for bit with the independent public routes
+    # analyze's shared kernel agrees bit for bit with the independent public
+    # routes on the payoffs it scores, the game minus its shift
     report, profile = analyze(mu, game), marginal_profile(mu)
     assert report.nash_of_marginals == nash_gap(profile, game)
+    centered = make_zero_sum(game.payoff - _shift(game.payoff))
     assert report.value_consistency.lhs == abs(
-        expected_joint_utility(mu, game, Player.ROW)
-        - expected_utility(game, Player.ROW, profile)
+        expected_joint_utility(mu, centered, Player.ROW)
+        - expected_utility(centered, Player.ROW, profile)
     )
 
 

@@ -18,7 +18,7 @@ from cce2nash import (
     parse_joint,
     save_game,
 )
-from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
+from cce2nash.games import _shift, format_matrix, parse_matrix, write_text_atomic
 from helpers import ASYM, PENNIES, random_game
 
 
@@ -71,6 +71,17 @@ def test_game_equality():
 def test_payoff_range():
     assert ASYM.payoff_range == 5.0
     assert make_zero_sum([[2.0]]).payoff_range == 0.0
+
+
+def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it():
+    assert _shift(np.array([[2.0, 4.0]])) == 3.0
+    assert _shift(np.array([[-4.0, -2.0]])) == -3.0
+    assert _shift(np.array([[7.0]])) == 7.0
+    # 1 < 2.5 / 2, mixed signs and an all-zero game take no shift
+    assert _shift(np.array([[1.0, 4.0]])) == _shift(np.array([[-4.0, -1.0]])) == 0.0
+    assert _shift(np.array([[-1.0, 3.0]])) == _shift(np.zeros((2, 2))) == 0.0
+    # the midpoint of payoffs near the largest float does not overflow
+    assert _shift(np.array([[1.5e308, 1.7e308]])) == 1.6e308
 
 
 # --- mixed strategies --------------------------------------------------------

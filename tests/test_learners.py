@@ -3,12 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cce2nash import (
     Algo,
     Averaging,
+    Checkpoint,
     JointDistribution,
     Player,
+    analyze,
     cce_gap,
     expected_joint_utility,
     make_zero_sum,
@@ -17,10 +21,39 @@ from cce2nash import (
     self_play,
     trajectory_csv,
 )
-from cce2nash.learners import _eta, _play, _sample_indices, _shift, _update
+from cce2nash.games import _shift
+from cce2nash.learners import _eta, _rule, _sample_indices
 from helpers import PENNIES, random_game
 
 RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS
+
+
+# --- reference rules ------------------------------------------------------------
+# The rules as the self_play docstring states them, in plain numpy and sharing
+# no code with the learners.
+
+
+def reference_rule_play(algo, cumulative):
+    if algo is MW:  # softmax of the log-weights
+        weights = np.exp(cumulative - np.max(cumulative))
+        return weights / np.sum(weights)
+    positive = np.maximum(cumulative, 0.0)  # positive part, uniform when none
+    total = np.sum(positive)
+    return positive / total if total > 0.0 else np.full(len(cumulative), 1.0 / len(cumulative))
+
+
+def reference_rule_update(algo, eta, cumulative, utilities, probs):
+    if algo is MW:  # log-weights grow by eta times the utilities
+        return cumulative + eta * utilities
+    regret = cumulative + (utilities - probs @ utilities)
+    return np.maximum(regret, 0.0) if algo is RM_PLUS else regret
+
+
+def bound_rule(algo, k, eta=0.0):
+    """``_rule``'s functions with fresh ``out`` buffers, for the unit tests."""
+    play, update = _rule(algo, eta, k)
+    return (lambda cumulative: play(cumulative, np.empty(k)),
+            lambda cumulative, utilities, probs: update(cumulative, utilities, probs, np.empty(k)))
 
 
 # --- strategy selection -------------------------------------------------------
@@ -28,19 +61,23 @@ RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLI
 
 def test_cold_start_is_uniform():
     for algo in Algo:
-        assert np.array_equal(_play(algo, np.zeros(2)), [0.5, 0.5])
+        play, _ = bound_rule(algo, 2)
+        assert np.array_equal(play(np.zeros(2)), [0.5, 0.5])
 
 
 def test_regret_matching_normalizes_positive_part():
-    assert np.allclose(_play(RM, np.array([3.0, 1.0])), [0.75, 0.25])
+    play, _ = bound_rule(RM, 2)
+    assert np.allclose(play(np.array([3.0, 1.0])), [0.75, 0.25])
 
 
 def test_regret_matching_zeroes_negative_regret():
-    assert np.array_equal(_play(RM, np.array([-2.0, 5.0])), [0.0, 1.0])
+    play, _ = bound_rule(RM, 2)
+    assert np.array_equal(play(np.array([-2.0, 5.0])), [0.0, 1.0])
 
 
 def test_mw_strategy_is_softmax_of_log_weights():
-    assert np.allclose(_play(MW, np.array([0.0, math.log(3.0)])), [0.25, 0.75])
+    play, _ = bound_rule(MW, 2)
+    assert np.allclose(play(np.array([0.0, math.log(3.0)])), [0.25, 0.75])
 
 
 def test_mw_eta_uses_horizon_and_payoff_range():
@@ -56,41 +93,50 @@ def test_mw_eta_uses_horizon_and_payoff_range():
 
 
 def test_update_regret_matching_example():
+    _, update = bound_rule(RM, 2)
     cumulative = np.zeros(2)
-    new = _update(RM, 0.0, cumulative, np.array([1.0, -1.0]), np.full(2, 0.5))
+    new = update(cumulative, np.array([1.0, -1.0]), np.full(2, 0.5))
     assert np.allclose(new, [1.0, -1.0])
-    # functional update: the input array is untouched
+    # the update writes its own buffer: the input array is untouched
     assert np.array_equal(cumulative, [0.0, 0.0])
 
 
 def test_update_rm_plus_clips_at_zero():
-    new = _update(RM_PLUS, 0.0, np.zeros(2), np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
+    _, update = bound_rule(RM_PLUS, 2)
+    new = update(np.zeros(2), np.array([-1.0, 1.0]), np.array([1.0, 0.0]))
     assert np.array_equal(new, [0.0, 2.0])
-    again = _update(RM_PLUS, 0.0, new, np.array([1.0, -1.0]), np.array([0.0, 1.0]))
+    again = update(new, np.array([1.0, -1.0]), np.array([0.0, 1.0]))
     assert (again >= 0.0).all()
 
 
 def test_update_mw_with_zero_eta_keeps_strategy():
+    play, update = bound_rule(MW, 3)
     cumulative = np.zeros(3)
-    before = _play(MW, cumulative)
-    after = _play(MW, _update(MW, 0.0, cumulative, np.array([5.0, -2.0, 1.0]), before))
+    before = play(cumulative)
+    after = play(update(cumulative, np.array([5.0, -2.0, 1.0]), before))
     assert np.array_equal(before, after)
 
 
 @pytest.mark.parametrize("algo", list(Algo))
-def test_rules_write_into_out_with_the_bits_of_the_allocating_call(algo):
+def test_rules_write_into_out_with_the_bits_of_the_reference_rules(algo):
     rng = np.random.default_rng(67)
+    play, update = _rule(algo, 0.3, 5)
     utilities = rng.uniform(-1.0, 1.0, size=5)
-    # positive regrets, none positive (the uniform fallback) and large log-weights
-    for cumulative in (rng.uniform(-2.0, 2.0, size=5), -rng.uniform(0.0, 2.0, size=5),
-                       rng.uniform(-1.0, 1.0, size=5) * 1e3):
+    # positive regrets, none positive (the uniform fallback), large log-weights
+    # and, for RM+, the nonnegative regrets its update leaves, zeros included
+    cases = [rng.uniform(-2.0, 2.0, size=5), -rng.uniform(0.0, 2.0, size=5),
+             rng.uniform(-1.0, 1.0, size=5) * 1e3]
+    if algo is RM_PLUS:
+        cases = [np.maximum(c, 0.0) for c in cases] + [np.array([0.0, 0.0, 1.0, 0.0, 2.0])]
+    for cumulative in cases:
         before = cumulative.copy()
         out = np.empty(5)
-        assert _play(algo, cumulative, out=out) is out
-        assert out.tobytes() == _play(algo, cumulative).tobytes()
+        assert play(cumulative, out) is out
+        assert out.tobytes() == reference_rule_play(algo, cumulative).tobytes()
         probs = out.copy()
-        assert _update(algo, 0.3, cumulative, utilities, probs, out=out) is out
-        assert out.tobytes() == _update(algo, 0.3, cumulative, utilities, probs).tobytes()
+        assert update(cumulative, utilities, probs, out) is out
+        expected = reference_rule_update(algo, 0.3, cumulative, utilities, probs)
+        assert out.tobytes() == expected.tobytes()
         assert cumulative.tobytes() == before.tobytes()
 
 
@@ -108,10 +154,11 @@ def test_sample_indices_above_the_accumulated_total_are_the_last_action():
 
 def test_rm_plus_cumulative_never_negative_over_random_play():
     rng = np.random.default_rng(31)
+    play, update = bound_rule(RM_PLUS, 4)
     cumulative = np.zeros(4)
     for _ in range(200):
         utilities = rng.uniform(-1.0, 1.0, size=4)
-        cumulative = _update(RM_PLUS, 0.0, cumulative, utilities, _play(RM_PLUS, cumulative))
+        cumulative = update(cumulative, utilities, play(cumulative))
         assert (cumulative >= 0.0).all()
 
 
@@ -169,65 +216,92 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     assert final.avg_row_payoff == expected_joint_utility(
         result.empirical_joint, PENNIES, Player.ROW
     )
-    # Every intermediate checkpoint is the public route on the joint of that
-    # round.  RM has eta = 0, so a shorter reference run is a prefix of this one.
+    # Every intermediate checkpoint is the public route on the joint of that round.
     g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
     for averaging in Averaging:
         result = self_play(g, RM, iters=300, seed=4, averaging=averaging, log_every=37)
         assert [c.t for c in result.trajectory] == [*range(37, 300, 37), 300]
-        for point in result.trajectory:
-            mu = JointDistribution(reference_joint(g, RM, RM, point.t, 4, averaging))
-            assert point.cce_eps == cce_gap(mu, g).epsilon
-            assert point.nash_eps == nash_gap(marginal_profile(mu), g).epsilon
-            assert point.avg_row_payoff == expected_joint_utility(mu, g, Player.ROW)
+        assert result.trajectory == reference_run(g, RM, RM, 300, 4, averaging, 37)[1]
 
 
 def reference_play(game, algo, col_algo, iters):
-    """Each round's strategies in self-play on the unscaled payoffs, one
-    update-rule call at a time."""
+    """Each round's strategies in self-play, from the reference rules on the
+    unscaled payoffs minus their shift, one rule call at a time."""
+    payoff = game.payoff - _shift(game.payoff)
 
     def eta(rule, k):  # the fixed-horizon step size of the self_play docstring
         if rule is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
             return math.sqrt(8.0 * math.log(k) / iters) / game.payoff_range
         return 0.0
 
+    row_eta, col_eta = eta(algo, game.rows), eta(col_algo, game.cols)
     row, col = np.zeros(game.rows), np.zeros(game.cols)
     for _ in range(iters):
-        x, y = _play(algo, row), _play(col_algo, col)
+        x, y = reference_rule_play(algo, row), reference_rule_play(col_algo, col)
         yield x, y
-        row = _update(algo, eta(algo, game.rows), row, game.payoff @ y, x)
-        col = _update(col_algo, eta(col_algo, game.cols), col, -(x @ game.payoff), y)
+        row = reference_rule_update(algo, row_eta, row, payoff @ y, x)
+        col = reference_rule_update(col_algo, col_eta, col, -(x @ payoff), y)
 
 
-def reference_joint(game, algo, col_algo, iters, seed, averaging):
-    """The averaged joint of ``reference_play``.  Expected play is summed in the
+def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
+    """The averaged joint of ``reference_play`` and its checkpoints, measured
+    through the public gap functions.  Expected play is summed in the
     documented order: one ``X.T @ Y`` per block of 64 rounds (the last may be
-    shorter), each added to the running total."""
+    shorter), each added to the running total; sampled play adds one count per
+    round.  ``avg_row_payoff`` is measured on the game minus its shift, which
+    is then added back."""
     rounds = list(reference_play(game, algo, col_algo, iters))
-    acc = np.zeros(game.shape)
-    if averaging is Averaging.EXPECTED:
-        for start in range(0, iters, 64):
-            xs, ys = zip(*rounds[start:start + 64])
-            acc += np.array(xs).T @ np.array(ys)
-    else:
+    if averaging is Averaging.SAMPLED:
         rng = np.random.default_rng(seed)
 
         def draw(probs):  # inverse CDF of one uniform, row player first
             index = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
             return min(index, len(probs) - 1)
 
-        for x, y in rounds:
-            acc[draw(x), draw(y)] += 1.0
-    return acc / acc.sum()
+        cells = [(draw(x), draw(y)) for x, y in rounds]
+
+    def joint(t):  # the accumulated play of the first t rounds
+        acc = np.zeros(game.shape)
+        if averaging is Averaging.EXPECTED:
+            for start in range(0, t, 64):
+                xs, ys = zip(*rounds[start:min(start + 64, t)])
+                acc += np.array(xs).T @ np.array(ys)
+        else:
+            for cell in cells[:t]:
+                acc[cell] += 1.0
+        return acc / acc.sum()
+
+    shift = _shift(game.payoff)
+    centered = make_zero_sum(game.payoff - shift)
+    trajectory = []
+    for t in [*range(log_every, iters, log_every), iters]:
+        mu = JointDistribution(joint(t))
+        value = expected_joint_utility(mu, centered, Player.ROW)
+        trajectory.append(Checkpoint(
+            t, cce_gap(mu, game).epsilon, nash_gap(marginal_profile(mu), game).epsilon,
+            avg_row_payoff=value + shift if shift else value,
+        ))
+    return mu.mass, tuple(trajectory)
+
+
+def reference_game(name):
+    rng = np.random.default_rng(53)
+    if name == "ties 5x7":  # exact-zero regrets, which RM+ plays as they are
+        return make_zero_sum(rng.integers(-1, 2, size=(5, 7)).astype(float))
+    if name == "fortran 5x7":
+        return make_zero_sum(np.asfortranarray(rng.uniform(-1.0, 1.0, size=(5, 7))))
+    shape = tuple(int(n) for n in name.split("x"))
+    return make_zero_sum(rng.uniform(-1.0, 1.0, size=shape))
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
 # 63, 64 and 65 rounds end inside, at and just past the first block of 64;
 # 2,100 rounds end inside the 33rd.  1×k and k×1 games give one player a
 # single action.
-@pytest.mark.parametrize("shape, iters", [
-    ((5, 7), 63), ((5, 7), 64), ((5, 7), 65), ((5, 7), 300),
-    ((5, 7), 2100), ((1, 6), 2100), ((6, 1), 2100),
+@pytest.mark.parametrize("game, iters", [
+    ("5x7", 63), ("5x7", 64), ("5x7", 65), ("5x7", 300),
+    ("5x7", 2100), ("1x6", 2100), ("6x1", 2100),
+    ("ties 5x7", 300), ("1x1", 65), ("fortran 5x7", 300),
 ])
 @pytest.mark.parametrize("algo, col_algo", [
     (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
@@ -235,11 +309,39 @@ def reference_joint(game, algo, col_algo, iters, seed, averaging):
     (Algo.MULTIPLICATIVE_WEIGHTS, Algo.MULTIPLICATIVE_WEIGHTS),
     (Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS),
 ])
-def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, shape, iters, averaging):
-    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=shape))
-    result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, col_algo=col_algo)
-    expected = reference_joint(g, algo, col_algo, iters, 4, averaging)
-    assert np.array_equal(result.empirical_joint.mass, expected)
+def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, game, iters, averaging):
+    g = reference_game(game)
+    result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, col_algo=col_algo,
+                       log_every=97)
+    mass, trajectory = reference_run(g, algo, col_algo, iters, 4, averaging, 97)
+    assert np.array_equal(result.empirical_joint.mass, mass)
+    assert result.trajectory == trajectory
+
+
+@st.composite
+def self_play_instances(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        payoff = rng.uniform(-1.0, 1.0, size=(rows, cols))
+    else:
+        payoff = rng.integers(-1, 2, size=(rows, cols)).astype(float)
+    game = make_zero_sum(payoff * 2.0 ** draw(st.integers(-60, 60)))
+    algo, col_algo = draw(st.sampled_from(list(Algo))), draw(st.sampled_from(list(Algo)))
+    iters = draw(st.integers(1, 130))
+    return game, algo, col_algo, iters, draw(st.sampled_from(list(Averaging))), draw(
+        st.integers(1, iters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(self_play_instances())
+def test_self_play_matches_the_reference_rules_bitwise(instance):
+    game, algo, col_algo, iters, averaging, log_every = instance
+    result = self_play(game, algo, iters=iters, seed=11, averaging=averaging,
+                       log_every=log_every, col_algo=col_algo)
+    mass, trajectory = reference_run(game, algo, col_algo, iters, 11, averaging, log_every)
+    assert result.empirical_joint.mass.tobytes() == mass.tobytes()
+    assert result.trajectory == trajectory
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
@@ -299,17 +401,6 @@ def test_rm_external_regret_within_standard_bound():
         assert iters * max(report.col_gain, 0.0) <= col_bound
 
 
-def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it():
-    assert _shift(np.array([[2.0, 4.0]])) == 3.0
-    assert _shift(np.array([[-4.0, -2.0]])) == -3.0
-    assert _shift(np.array([[7.0]])) == 7.0
-    # 1 < 2.5 / 2, mixed signs and an all-zero game take no shift
-    assert _shift(np.array([[1.0, 4.0]])) == _shift(np.array([[-4.0, -1.0]])) == 0.0
-    assert _shift(np.array([[-1.0, 3.0]])) == _shift(np.zeros((2, 2))) == 0.0
-    # the midpoint of payoffs near the largest float does not overflow
-    assert _shift(np.array([[1.5e308, 1.7e308]])) == 1.6e308
-
-
 @pytest.mark.parametrize("offset", [1e12, -1e12])
 def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
     # The rules see the payoffs minus their midpoint, so an offset costs MW
@@ -320,6 +411,17 @@ def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
     at_zero = make_zero_sum(g.payoff - offset)  # exact, by Sterbenz
     eps = self_play(g, MW, iters=3000).trajectory[-1].cce_eps
     assert eps <= 1.1 * self_play(at_zero, MW, iters=3000).trajectory[-1].cce_eps
+
+
+def test_checkpoints_score_an_offset_game_on_its_shifted_payoffs():
+    # Scored on the raw payoffs near -1e14, each gain is the difference of two
+    # numbers rounded to ulp(1e14) = 0.0156, and cce_eps read 0.046875.
+    g = make_zero_sum(np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8)) - 1e14)
+    result = self_play(g, MW, iters=3000)
+    final = result.trajectory[-1]
+    report = analyze(result.empirical_joint, make_zero_sum(g.payoff - _shift(g.payoff)))
+    assert final.cce_eps == report.cce.epsilon < 0.016
+    assert final.nash_eps == report.nash_of_marginals.epsilon
 
 
 def test_rm_meets_its_bound_at_the_largest_payoff_scales():
