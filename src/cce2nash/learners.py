@@ -30,47 +30,105 @@ class Averaging(Enum):
     SAMPLED = "sampled"
 
 
-def _rule(algo: Algo, eta: float, k: int):
-    """The ``(play, update)`` functions of one player's rule with ``k`` actions,
-    bound once per run; the only implementation of each rule.
+def _rule(algo: Algo, etas, sizes, cumulative, utilities, values):
+    """The ``(play, update)`` functions of one rule over the players it owns,
+    bound once per run to their arrays; the only implementation of each rule.
 
-    ``play(cumulative, out)`` writes the strategy into ``out``, and
-    ``update(cumulative, utilities, probs, out)`` writes the next cumulative
-    vector into ``out``; each returns ``out``, which must share no memory with
-    the inputs.  They validate nothing.
+    ``cumulative`` and ``utilities`` hold one row per player, or are one
+    player's own vector.  Row ``i`` holds a player with ``sizes[i]`` actions
+    in its first ``sizes[i]`` entries, ``etas[i]`` is that player's
+    multiplicative weights step size and ``values[i, 0]`` (a 0-d ``values``
+    for a vector) its expected payoff in the round, which regret matching
+    subtracts.  The entries past a row's actions are its tail; binding sets
+    the cumulative tails to -inf, and the rules keep them there without a
+    floating-point warning as long as the utility tails stay finite.
+    ``play(out)`` writes the strategies of the current cumulative vectors
+    into ``out``, of the same shape (the tails of ``out`` hold no strategy),
+    and ``update()`` adds the round's utilities to the cumulative vectors in
+    place.  They validate nothing.
     """
+    count, width, shape = len(sizes), cumulative.shape[-1], cumulative.shape[:-1]
+    tails = (np.arange(width) >= np.array(sizes)[:, None]).reshape(cumulative.shape)
+    cumulative[tails] = -np.inf
+    buffer = np.empty_like(cumulative)
+    flat = np.empty(shape)  # per-row maxima, then sums
+    totals = flat[:, None] if shape else flat  # against the rows; 0-d is cheapest
+    clip = algo is Algo.REGRET_MATCHING_PLUS
+    summed = cumulative if clip else buffer
+    if all(k == width for k in sizes):
+
+        def row_sums():
+            # numpy sums each row of a C-ordered array pairwise on its own,
+            # with the bits of the sum of that row alone.
+            np.add.reduce(summed, axis=-1, out=flat)
+
+    else:
+        # A padded row would change the grouping of the pairwise sum.
+        parts = [(summed[i, :k], flat[i : i + 1].reshape(())) for i, k in enumerate(sizes)]
+
+        def row_sums():
+            for part, total in parts:
+                np.add.reduce(part, out=total)
+
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
+        steps = np.empty_like(cumulative)  # full rows multiply faster than broadcast ones
+        steps[...] = np.reshape(etas, totals.shape)
 
-        def play(cumulative, out):
-            np.subtract(cumulative, np.maximum.reduce(cumulative), out=out)  # overflow guard
-            np.exp(out, out=out)
-            return np.divide(out, np.add.reduce(out), out=out)
+        def play(out):
+            np.maximum.reduce(cumulative, axis=-1, out=flat)  # exact; tails never win
+            np.subtract(cumulative, totals, out=buffer)  # overflow guard
+            np.exp(buffer, out=buffer)
+            row_sums()
+            np.divide(buffer, totals, out=out)
 
-        def update(cumulative, utilities, probs, out):
-            np.multiply(utilities, eta, out=out)
-            return np.add(cumulative, out, out=out)
+        def update():
+            np.multiply(utilities, steps, out=buffer)
+            np.add(cumulative, buffer, out=cumulative)
 
         return play, update
 
-    zeros, uniform = np.zeros(k), 1.0 / k
-    clip = algo is Algo.REGRET_MATCHING_PLUS
+    floor = np.where(tails, -np.inf, 0.0)  # the clip at 0, which keeps the tails
+    listed = flat.reshape(count)
 
-    def play(cumulative, out):
+    def play(out):
         # RM+ regrets start at +0 and its update clips them at +0 (maximum
         # turns -0.0 into +0.0 too), so their positive part is themselves.
-        positive = cumulative if clip else np.maximum(cumulative, zeros, out=out)
-        total = np.add.reduce(positive)
-        if total <= 0.0:
-            out.fill(uniform)
-            return out
-        return np.divide(positive, total, out=out)
+        if not clip:
+            np.maximum(cumulative, floor, out=buffer)
+        row_sums()
+        sums = listed.tolist()
+        if min(sums) > 0.0:  # true only when no row's sum is <= 0, NaN or not
+            np.divide(summed, totals, out=out)
+            return
+        rows = zip(sizes, sums, out.reshape(count, -1), summed.reshape(count, -1))
+        for k, total, row, source in rows:
+            if total <= 0.0:
+                row[:k] = 1.0 / k
+            else:
+                np.divide(source, total, out=row)
 
-    def update(cumulative, utilities, probs, out):
-        np.subtract(utilities, probs.dot(utilities), out=out)
-        np.add(cumulative, out, out=out)
+    def update():
+        np.subtract(utilities, values, out=buffer)
+        np.add(cumulative, buffer, out=cumulative)
         if clip:
-            np.maximum(out, zeros, out=out)
-        return out
+            np.maximum(cumulative, floor, out=cumulative)
+
+    return play, update
+
+
+def _stacked(row_rule, col_rule):
+    """One ``(play, update)`` pair from the rules of two players who use
+    different rules, each bound to its own vectors; its ``play`` takes the
+    pair of their ``out`` vectors."""
+    (row_play, row_update), (col_play, col_update) = row_rule, col_rule
+
+    def play(out):
+        row_play(out[0])
+        col_play(out[1])
+
+    def update():
+        row_update()
+        col_update()
 
     return play, update
 
@@ -157,12 +215,27 @@ def self_play(
     When every payoff lies within a factor of 2 of the payoffs' midpoint, the
     midpoint is subtracted first, exactly; all three rules are invariant under
     that shift, and it keeps the low bits of a game offset far from 0.
-    Games with payoffs of both signs are never shifted.  Each player's rule
-    is bound once per run, and the column player's utilities are ``x @ -A``
-    with ``-A`` negated once per run, which is ``-(x @ A)`` exactly.
-    Checkpoints measure the gaps on the shifted but unscaled payoffs, as
-    :func:`~cce2nash.equilibrium.analyze` does, and add the shift back to
-    ``avg_row_payoff``.
+    Games with payoffs of both signs are never shifted.  The column player's
+    utilities are ``x @ -A`` with ``-A`` negated once per run, which is
+    ``-(x @ A)`` exactly.  Checkpoints measure the gaps on the shifted but
+    unscaled payoffs, as :func:`~cce2nash.equilibrium.analyze` does, and add
+    the shift back to ``avg_row_payoff``.
+
+    Both players' state lives in ``(2, K)`` arrays, one row each, with ``K``
+    the larger action count, and each round's two strategies go into one
+    ``(2, K)`` slot of the block.  Each rule is bound once per run over the
+    rows it owns: both rows when ``col_algo`` is ``algo``, so that each of
+    its elementwise steps runs once per round for both players, and each
+    player's own vectors otherwise.  The shorter player's extra entries stay
+    inert (cumulative -inf, utility 0) and are never read.  The per-player
+    maxima are one reduction along the rows, exact in any order.  The sums
+    are one reduction along the rows when the game is square, because numpy
+    sums each row of a C-ordered array pairwise on its own, and one per
+    player over its own actions otherwise, because padding would regroup the
+    pairwise sum.  Each player's expected payoff is one dot product of its
+    own vectors.  Every fold copies each player's rounds to a contiguous
+    array of its own for the products and the draws.  Strategies, joints and
+    checkpoints are therefore bit for bit those of per-player vectors.
 
     Args:
         game: zero-sum game to play.
@@ -191,56 +264,77 @@ def self_play(
         raise ValueError("log_every must be at least 1")
 
     rows, cols = game.shape
+    width = max(rows, cols)
     scale = payoff_scale(game)
     centered, shift = _centered(game.payoff)
     payoff = centered / scale
     neg_payoff = -payoff  # the column player's utilities, exactly
     spread = game.payoff_range / scale
-    row_play, row_update = _rule(algo, _eta(algo, rows, spread, iters), rows)
-    col_play, col_update = _rule(col_algo, _eta(col_algo, cols, spread, iters), cols)
+    etas = (_eta(algo, rows, spread, iters), _eta(col_algo, cols, spread, iters))
     sampled = averaging is Averaging.SAMPLED
     rng = np.random.default_rng(seed)
 
-    # Every round writes into these buffers.  Each round's strategies are
-    # played into the next row of the block; each cumulative vector has a
-    # spare that its update is written into before the two are swapped.
-    row_cum, row_next = np.zeros(rows), np.empty(rows)
-    col_cum, col_next = np.zeros(cols), np.empty(cols)
-    block_x, block_y = np.empty((_BLOCK, rows)), np.empty((_BLOCK, cols))
-    x_rows, y_rows = list(block_x), list(block_y)
-    row_util, col_util = np.empty(rows), np.empty(cols)
+    # Both players' state, one row each and the row player's first.  A rule
+    # over both rows keeps the shorter player's tail inert: -inf cumulative,
+    # 0 utility.
+    cum, util, values = np.zeros((2, width)), np.zeros((2, width)), np.empty((2, 1))
+    row_util, col_util = util[0, :rows], util[1, :cols]
+    row_value, col_value = (value.reshape(()) for value in values)
+    # Each round's strategies are played into the next (2, width) slot.
+    block = np.empty((min(_BLOCK, iters), 2, width))
+    if col_algo is algo:  # one rule over both rows, as in every learn run
+        play, update = _rule(algo, etas, (rows, cols), cum, util, values)
+        targets = list(block)
+    else:  # one rule on each player's own vectors
+        play, update = _stacked(
+            _rule(algo, etas[:1], (rows,), cum[0, :rows], row_util, row_value),
+            _rule(col_algo, etas[1:], (cols,), cum[1, :cols], col_util, col_value),
+        )
+        targets = list(zip(block[:, 0, :rows], block[:, 1, :cols]))
+    regret = not (algo is col_algo is Algo.MULTIPLICATIVE_WEIGHTS)  # RM and RM+ need the values
+    slots = list(zip(targets, block[:, 0, :rows], block[:, 1, :cols]))
     block_sum = np.empty((rows, cols))
     joint_acc = np.zeros((rows, cols))
-    filled = 0
+    t = filled = 0
+    next_log = min(log_every, iters)
     trajectory = []
 
-    for t in range(1, iters + 1):
-        x = row_play(row_cum, x_rows[filled])
-        y = col_play(col_cum, y_rows[filled])
-        filled += 1
+    while t < iters:
+        # Play up to the next block end or checkpoint, whichever comes first.
+        stop = min(t + _BLOCK - filled, next_log)
+        for slot, x, y in slots[filled : filled + stop - t]:
+            play(slot)
+            payoff.dot(y, row_util)
+            x.dot(neg_payoff, col_util)
+            if regret:
+                x.dot(row_util, row_value)
+                y.dot(col_util, col_value)
+            update()
+        filled += stop - t
+        t = stop
 
-        payoff.dot(y, row_util)
-        x.dot(neg_payoff, col_util)
-        row_cum, row_next = row_update(row_cum, row_util, x, row_next), row_cum
-        col_cum, col_next = col_update(col_cum, col_util, y, col_next), col_cum
-
-        checkpoint = t % log_every == 0 or t == iters
-        # Blocks end every _BLOCK rounds whatever log_every is.  Sampled counts
-        # are exact integers, so a checkpoint may also end one early.
-        if filled == _BLOCK or (sampled and checkpoint):
+        checkpoint = t == next_log
+        if filled == _BLOCK or checkpoint:
+            # Each player's rounds as its own C-ordered array, so that the
+            # product and the draws do not depend on the padded layout.
+            block_x = block[:filled, 0, :rows].copy()
+            block_y = block[:filled, 1, :cols].copy()
+            # Blocks end every _BLOCK rounds whatever log_every is.  Sampled
+            # counts are exact integers, so a checkpoint may also end one early.
             if sampled:
                 uniforms = rng.random((filled, 2))
-                r = _sample_indices(block_x[:filled], uniforms[:, 0])
-                c = _sample_indices(block_y[:filled], uniforms[:, 1])
+                r = _sample_indices(block_x, uniforms[:, 0])
+                c = _sample_indices(block_y, uniforms[:, 1])
                 np.add.at(joint_acc, (r, c), 1.0)
-            else:
+                filled = 0
+            elif filled == _BLOCK:
                 joint_acc += np.matmul(block_x.T, block_y, out=block_sum)
-            filled = 0
+                filled = 0
 
         if checkpoint:
             acc = joint_acc
             if filled:  # expected play of a part block, read without ending it
-                acc = np.matmul(block_x[:filled].T, block_y[:filled], out=block_sum)
+                acc = np.matmul(block_x.T, block_y, out=block_sum)
                 acc += joint_acc
             # Normalizing by the accumulated float total (rather than by t)
             # keeps the average summing to 1 within rounding for long runs.
@@ -249,6 +343,7 @@ def self_play(
             if shift:
                 joint_value += shift
             trajectory.append(Checkpoint(t, cce.epsilon, nash.epsilon, avg_row_payoff=joint_value))
+            next_log = min(next_log + log_every, iters)
 
     # The final checkpoint's mass is the result.  Every term added is nonnegative
     # or NaN, and a NaN stays, so validating this mass covers every checkpoint.

@@ -50,10 +50,25 @@ def reference_rule_update(algo, eta, cumulative, utilities, probs):
 
 
 def bound_rule(algo, k, eta=0.0):
-    """``_rule``'s functions with fresh ``out`` buffers, for the unit tests."""
-    play, update = _rule(algo, eta, k)
-    return (lambda cumulative: play(cumulative, np.empty(k)),
-            lambda cumulative, utilities, probs: update(cumulative, utilities, probs, np.empty(k)))
+    """``_rule`` bound to one player's own vectors, as in self-play between
+    two different rules, as functions of the cumulative vector, for the unit
+    tests; each returns a fresh array."""
+    cumulative, utilities, values = np.zeros(k), np.zeros(k), np.empty(())
+    play, update = _rule(algo, (eta,), (k,), cumulative, utilities, values)
+
+    def bound_play(vector):
+        cumulative[:] = vector
+        out = np.empty(k)
+        play(out)
+        return out
+
+    def bound_update(vector, player_utilities, probs):
+        cumulative[:], utilities[:] = vector, player_utilities
+        values[()] = probs.dot(player_utilities)
+        update()
+        return cumulative.copy()
+
+    return bound_play, bound_update
 
 
 # --- strategy selection -------------------------------------------------------
@@ -94,11 +109,8 @@ def test_mw_eta_uses_horizon_and_payoff_range():
 
 def test_update_regret_matching_example():
     _, update = bound_rule(RM, 2)
-    cumulative = np.zeros(2)
-    new = update(cumulative, np.array([1.0, -1.0]), np.full(2, 0.5))
+    new = update(np.zeros(2), np.array([1.0, -1.0]), np.full(2, 0.5))
     assert np.allclose(new, [1.0, -1.0])
-    # the update writes its own buffer: the input array is untouched
-    assert np.array_equal(cumulative, [0.0, 0.0])
 
 
 def test_update_rm_plus_clips_at_zero():
@@ -117,27 +129,59 @@ def test_update_mw_with_zero_eta_keeps_strategy():
     assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("algo", list(Algo))
-def test_rules_write_into_out_with_the_bits_of_the_reference_rules(algo):
-    rng = np.random.default_rng(67)
-    play, update = _rule(algo, 0.3, 5)
-    utilities = rng.uniform(-1.0, 1.0, size=5)
-    # positive regrets, none positive (the uniform fallback), large log-weights
-    # and, for RM+, the nonnegative regrets its update leaves, zeros included
-    cases = [rng.uniform(-2.0, 2.0, size=5), -rng.uniform(0.0, 2.0, size=5),
-             rng.uniform(-1.0, 1.0, size=5) * 1e3]
+def rule_cases(algo, rng, k):
+    """Cumulative vectors of a player with ``k`` actions: positive regrets,
+    none positive (the uniform fallback) and large log-weights; for RM+, the
+    nonnegative regrets its update leaves, zeros included."""
+    cases = [rng.uniform(-2.0, 2.0, size=k), -rng.uniform(0.0, 2.0, size=k),
+             rng.uniform(-1.0, 1.0, size=k) * 1e3]
     if algo is RM_PLUS:
-        cases = [np.maximum(c, 0.0) for c in cases] + [np.array([0.0, 0.0, 1.0, 0.0, 2.0])]
-    for cumulative in cases:
-        before = cumulative.copy()
-        out = np.empty(5)
-        assert play(cumulative, out) is out
-        assert out.tobytes() == reference_rule_play(algo, cumulative).tobytes()
-        probs = out.copy()
-        assert update(cumulative, utilities, probs, out) is out
+        cases = [np.maximum(c, 0.0) for c in cases] + [np.where(np.arange(k) % 2, 1.0, 0.0)]
+    return cases
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+def test_rules_play_into_out_and_update_with_the_bits_of_the_reference_rules(algo):
+    rng = np.random.default_rng(67)
+    play, update = bound_rule(algo, 5, 0.3)
+    utilities = rng.uniform(-1.0, 1.0, size=5)
+    for cumulative in rule_cases(algo, rng, 5):
+        probs = play(cumulative)
+        assert probs.tobytes() == reference_rule_play(algo, cumulative).tobytes()
         expected = reference_rule_update(algo, 0.3, cumulative, utilities, probs)
-        assert out.tobytes() == expected.tobytes()
-        assert cumulative.tobytes() == before.tobytes()
+        assert update(cumulative, utilities, probs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+@pytest.mark.parametrize("sizes", [(3, 7), (7, 3), (6, 6)])
+def test_a_rule_over_both_players_rows_has_each_players_bits(algo, sizes):
+    # In turn, each player's regrets are none positive, so RM and RM+ play it
+    # uniform, while the other plays its own; each row is that player's rule.
+    rng = np.random.default_rng(71)
+    width, etas = max(sizes), (0.3, 0.05)
+    cumulative, utilities, values = np.zeros((2, width)), np.zeros((2, width)), np.empty((2, 1))
+    play, update = _rule(algo, etas, sizes, cumulative, utilities, values)
+    for uniform in (0, 1):
+        vectors = [rule_cases(algo, rng, k)[2 * i] for i, k in enumerate(sizes)]
+        if algo is not MW:
+            vectors[uniform] = rule_cases(algo, rng, sizes[uniform])[1]
+        player_utilities = [rng.uniform(-1.0, 1.0, size=k) for k in sizes]
+        for i, (k, vector, u) in enumerate(zip(sizes, vectors, player_utilities)):
+            cumulative[i, :k], utilities[i, :k] = vector, u
+        out = np.empty((2, width))
+        play(out)
+        probs = [out[i, :k].copy() for i, k in enumerate(sizes)]
+        for i, (vector, p) in enumerate(zip(vectors, probs)):
+            assert p.tobytes() == reference_rule_play(algo, vector).tobytes()
+            values[i, 0] = p.dot(player_utilities[i])
+        if algo is not MW:
+            assert np.array_equal(probs[uniform], np.full(sizes[uniform], 1.0 / sizes[uniform]))
+        update()
+        for i, k in enumerate(sizes):
+            expected = reference_rule_update(
+                algo, etas[i], vectors[i], player_utilities[i], probs[i])
+            assert cumulative[i, :k].tobytes() == expected.tobytes()
+            assert (cumulative[i, k:] == -np.inf).all()  # the tail stays inert
 
 
 def test_sample_indices_never_draw_a_zero_probability_action():
@@ -297,11 +341,13 @@ def reference_game(name):
 @pytest.mark.parametrize("averaging", list(Averaging))
 # 63, 64 and 65 rounds end inside, at and just past the first block of 64;
 # 2,100 rounds end inside the 33rd.  1×k and k×1 games give one player a
-# single action.
+# single action.  In 5×13 and 13×5 the shorter player's row is padded to 13
+# entries, where a padded sum would regroup numpy's pairwise sum.
 @pytest.mark.parametrize("game, iters", [
     ("5x7", 63), ("5x7", 64), ("5x7", 65), ("5x7", 300),
     ("5x7", 2100), ("1x6", 2100), ("6x1", 2100),
     ("ties 5x7", 300), ("1x1", 65), ("fortran 5x7", 300),
+    ("5x13", 300), ("13x5", 300), ("10x10", 300),
 ])
 @pytest.mark.parametrize("algo, col_algo", [
     (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
@@ -320,7 +366,7 @@ def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, game, 
 
 @st.composite
 def self_play_instances(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         payoff = rng.uniform(-1.0, 1.0, size=(rows, cols))
@@ -434,6 +480,23 @@ def test_rm_meets_its_bound_at_the_largest_payoff_scales():
         result = self_play(g, Algo.REGRET_MATCHING, iters=iters)
     bound = g.payoff_range * math.sqrt(max(g.shape) / iters)
     assert result.trajectory[-1].cce_eps <= bound
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (3, 40)])
+def test_mw_runs_clean_when_the_shorter_players_weights_underflow(shape):
+    # The 3-action player loses every round, so after 70,000 rounds its
+    # log-weights are all below -745, where exp underflows.  Its row is padded
+    # to 40 entries; a padding that won the per-row maximum would underflow its
+    # weights and overflow their normalization.  The pytest configuration
+    # fails on that RuntimeWarning.
+    payoff = np.ones(shape)
+    payoff[0, 0] = 0.0
+    g = make_zero_sum(payoff if shape[0] > shape[1] else -payoff)
+    iters = 70_000
+    result = self_play(g, MW, iters=iters, log_every=iters)
+    loser = result.avg_profile.col if shape[0] > shape[1] else result.avg_profile.row
+    assert np.isfinite(loser.probs).all()
+    assert result.trajectory[-1].nash_eps <= 2.0 * result.trajectory[-1].cce_eps + 1e-9
 
 
 def test_average_gap_shrinks_with_horizon():
