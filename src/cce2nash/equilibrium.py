@@ -14,7 +14,9 @@ same deviation payoffs ``A @ y`` and ``x @ A`` against the joint payoff
 computes each of these once, for ``analyze``, ``cce_gap`` and every self-play
 checkpoint.  Every gap is scored on the payoffs minus their exact shift
 (``_centered``): the gaps do not change under a shift, and a game offset far
-from 0 would otherwise round each gain to the offset's ulp.
+from 0 would otherwise round each gain to the offset's ulp.  A payoff range
+of 2**1023 or more is refused there with a ``ValueError``, since its gains
+would overflow.
 """
 
 from __future__ import annotations

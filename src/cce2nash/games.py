@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -146,16 +145,26 @@ def payoff_scale(game: Game) -> float:
             overflow).
     """
     spread = game.payoff_range
+    _check_range(spread)
+    return math.ldexp(1.0, math.frexp(spread)[1])
+
+
+def _check_range(spread: float) -> None:
     if not spread < 2.0**1023:
         raise ValueError(f"payoff range {spread:g} is 2**1023 or more; rescale the game")
-    return math.ldexp(1.0, math.frexp(spread)[1])
 
 
 def _shift(payoff: np.ndarray) -> float:
     """The payoffs' midpoint when every payoff lies within a factor of 2 of
     it, else 0.  Subtracting it is then exact (Sterbenz), so a game offset far
-    from 0 keeps its payoff differences, and ordinary games stay unshifted."""
+    from 0 keeps its payoff differences, and ordinary games stay unshifted.
+
+    Raises:
+        ValueError: if the payoff range is 2**1023 or more, where gains and
+            payoff differences would overflow.
+    """
     high, low = float(payoff.max()), float(payoff.min())
+    _check_range(high - low)  # Python floats: past the float range is inf, no warning
     mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
     if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
         return mid
@@ -284,10 +293,18 @@ def save_game(game: Game, path) -> None:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write a whole file atomically (temp file in the same directory, then rename)."""
+    """Write a whole file atomically (temp file in the same directory, then rename).
+
+    The file gets the mode ``open(path, "w")`` gives a new file, 0o666 minus
+    the umask, which the kernel applies when it creates the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # 64 random bits make a clash with another writer's temp name negligible;
+    # O_EXCL turns one into an error rather than a shared file.
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -30,55 +30,36 @@ class Averaging(Enum):
     SAMPLED = "sampled"
 
 
-def _rule(algo: Algo, etas, sizes, cumulative, utilities, values):
+def _rule(algo: Algo, etas, cumulative, utilities, values):
     """The ``(play, update)`` functions of one rule over the players it owns,
     bound once per run to their arrays; the only implementation of each rule.
 
-    ``cumulative`` and ``utilities`` hold one row per player, or are one
-    player's own vector.  Row ``i`` holds a player with ``sizes[i]`` actions
-    in its first ``sizes[i]`` entries, ``etas[i]`` is that player's
+    ``cumulative`` and ``utilities`` hold one row per player, all of one
+    length, or are one player's own vector.  ``etas[i]`` is player ``i``'s
     multiplicative weights step size and ``values[i, 0]`` (a 0-d ``values``
     for a vector) its expected payoff in the round, which regret matching
-    subtracts.  The entries past a row's actions are its tail; binding sets
-    the cumulative tails to -inf, and the rules keep them there without a
-    floating-point warning as long as the utility tails stay finite.
-    ``play(out)`` writes the strategies of the current cumulative vectors
-    into ``out``, of the same shape (the tails of ``out`` hold no strategy),
-    and ``update()`` adds the round's utilities to the cumulative vectors in
-    place.  They validate nothing.
+    subtracts.  ``play(out)`` writes the strategies of the current cumulative
+    vectors into ``out``, of the same shape, and ``update()`` adds the round's
+    utilities to the cumulative vectors in place.  They validate nothing.
     """
-    count, width, shape = len(sizes), cumulative.shape[-1], cumulative.shape[:-1]
-    tails = (np.arange(width) >= np.array(sizes)[:, None]).reshape(cumulative.shape)
-    cumulative[tails] = -np.inf
+    width, shape = cumulative.shape[-1], cumulative.shape[:-1]
     buffer = np.empty_like(cumulative)
     flat = np.empty(shape)  # per-row maxima, then sums
     totals = flat[:, None] if shape else flat  # against the rows; 0-d is cheapest
     clip = algo is Algo.REGRET_MATCHING_PLUS
     summed = cumulative if clip else buffer
-    if all(k == width for k in sizes):
-
-        def row_sums():
-            # numpy sums each row of a C-ordered array pairwise on its own,
-            # with the bits of the sum of that row alone.
-            np.add.reduce(summed, axis=-1, out=flat)
-
-    else:
-        # A padded row would change the grouping of the pairwise sum.
-        parts = [(summed[i, :k], flat[i : i + 1].reshape(())) for i, k in enumerate(sizes)]
-
-        def row_sums():
-            for part, total in parts:
-                np.add.reduce(part, out=total)
 
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
         steps = np.empty_like(cumulative)  # full rows multiply faster than broadcast ones
         steps[...] = np.reshape(etas, totals.shape)
 
         def play(out):
-            np.maximum.reduce(cumulative, axis=-1, out=flat)  # exact; tails never win
+            np.maximum.reduce(cumulative, axis=-1, out=flat)
             np.subtract(cumulative, totals, out=buffer)  # overflow guard
             np.exp(buffer, out=buffer)
-            row_sums()
+            # numpy sums each row of a C-ordered array pairwise on its own,
+            # with the bits of the sum of that row alone.
+            np.add.reduce(buffer, axis=-1, out=flat)
             np.divide(buffer, totals, out=out)
 
         def update():
@@ -87,23 +68,22 @@ def _rule(algo: Algo, etas, sizes, cumulative, utilities, values):
 
         return play, update
 
-    floor = np.where(tails, -np.inf, 0.0)  # the clip at 0, which keeps the tails
-    listed = flat.reshape(count)
+    zeros = np.zeros_like(cumulative)  # the clip at 0
+    listed = flat.reshape(-1)
 
     def play(out):
         # RM+ regrets start at +0 and its update clips them at +0 (maximum
         # turns -0.0 into +0.0 too), so their positive part is themselves.
         if not clip:
-            np.maximum(cumulative, floor, out=buffer)
-        row_sums()
+            np.maximum(cumulative, zeros, out=buffer)
+        np.add.reduce(summed, axis=-1, out=flat)
         sums = listed.tolist()
         if min(sums) > 0.0:  # true only when no row's sum is <= 0, NaN or not
             np.divide(summed, totals, out=out)
             return
-        rows = zip(sizes, sums, out.reshape(count, -1), summed.reshape(count, -1))
-        for k, total, row, source in rows:
+        for total, row, source in zip(sums, out.reshape(-1, width), summed.reshape(-1, width)):
             if total <= 0.0:
-                row[:k] = 1.0 / k
+                row[:] = 1.0 / width
             else:
                 np.divide(source, total, out=row)
 
@@ -111,15 +91,15 @@ def _rule(algo: Algo, etas, sizes, cumulative, utilities, values):
         np.subtract(utilities, values, out=buffer)
         np.add(cumulative, buffer, out=cumulative)
         if clip:
-            np.maximum(cumulative, floor, out=cumulative)
+            np.maximum(cumulative, zeros, out=cumulative)
 
     return play, update
 
 
 def _stacked(row_rule, col_rule):
-    """One ``(play, update)`` pair from the rules of two players who use
-    different rules, each bound to its own vectors; its ``play`` takes the
-    pair of their ``out`` vectors."""
+    """One ``(play, update)`` pair from the rules of the two players, each
+    bound to its own vectors; its ``play`` takes the pair of their ``out``
+    vectors."""
     (row_play, row_update), (col_play, col_update) = row_rule, col_rule
 
     def play(out):
@@ -223,19 +203,15 @@ def self_play(
 
     Both players' state lives in ``(2, K)`` arrays, one row each, with ``K``
     the larger action count, and each round's two strategies go into one
-    ``(2, K)`` slot of the block.  Each rule is bound once per run over the
-    rows it owns: both rows when ``col_algo`` is ``algo``, so that each of
-    its elementwise steps runs once per round for both players, and each
-    player's own vectors otherwise.  The shorter player's extra entries stay
-    inert (cumulative -inf, utility 0) and are never read.  The per-player
-    maxima are one reduction along the rows, exact in any order.  The sums
-    are one reduction along the rows when the game is square, because numpy
-    sums each row of a C-ordered array pairwise on its own, and one per
-    player over its own actions otherwise, because padding would regroup the
-    pairwise sum.  Each player's expected payoff is one dot product of its
-    own vectors.  Every fold copies each player's rounds to a contiguous
-    array of its own for the products and the draws.  Strategies, joints and
-    checkpoints are therefore bit for bit those of per-player vectors.
+    ``(2, K)`` slot of the block.  Each rule is bound once per run: over both
+    rows when both players use it on a square game, so that each of its
+    elementwise steps and reductions runs once per round for both players,
+    and to each player's own vectors otherwise.  numpy reduces each row of a
+    C-ordered array on its own, with the bits of that row alone.  Each
+    player's expected payoff is one dot product of its own vectors.  Every
+    fold copies each player's rounds to a contiguous array of its own for
+    the products and the draws.  Strategies, joints and checkpoints are
+    therefore bit for bit those of per-player vectors.
 
     Args:
         game: zero-sum game to play.
@@ -274,21 +250,19 @@ def self_play(
     sampled = averaging is Averaging.SAMPLED
     rng = np.random.default_rng(seed)
 
-    # Both players' state, one row each and the row player's first.  A rule
-    # over both rows keeps the shorter player's tail inert: -inf cumulative,
-    # 0 utility.
+    # Both players' state, one row each and the row player's first.
     cum, util, values = np.zeros((2, width)), np.zeros((2, width)), np.empty((2, 1))
     row_util, col_util = util[0, :rows], util[1, :cols]
     row_value, col_value = (value.reshape(()) for value in values)
     # Each round's strategies are played into the next (2, width) slot.
     block = np.empty((min(_BLOCK, iters), 2, width))
-    if col_algo is algo:  # one rule over both rows, as in every learn run
-        play, update = _rule(algo, etas, (rows, cols), cum, util, values)
+    if col_algo is algo and rows == cols:  # one rule over both rows
+        play, update = _rule(algo, etas, cum, util, values)
         targets = list(block)
     else:  # one rule on each player's own vectors
         play, update = _stacked(
-            _rule(algo, etas[:1], (rows,), cum[0, :rows], row_util, row_value),
-            _rule(col_algo, etas[1:], (cols,), cum[1, :cols], col_util, col_value),
+            _rule(algo, etas[:1], cum[0, :rows], row_util, row_value),
+            _rule(col_algo, etas[1:], cum[1, :cols], col_util, col_value),
         )
         targets = list(zip(block[:, 0, :rows], block[:, 1, :cols]))
     regret = not (algo is col_algo is Algo.MULTIPLICATIVE_WEIGHTS)  # RM and RM+ need the values
@@ -316,7 +290,7 @@ def self_play(
         checkpoint = t == next_log
         if filled == _BLOCK or checkpoint:
             # Each player's rounds as its own C-ordered array, so that the
-            # product and the draws do not depend on the padded layout.
+            # product and the draws do not depend on the layout of the block.
             block_x = block[:filled, 0, :rows].copy()
             block_y = block[:filled, 1, :cols].copy()
             # Blocks end every _BLOCK rounds whatever log_every is.  Sampled

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +395,23 @@ def test_an_exact_cce_at_a_large_offset_passes_check_and_learn(tmp_path, capsys)
     out = tmp_path / "run"
     assert main(["learn", "--game", game, "--iters", "200", "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["holds_2eps"] is True
+
+
+OVERFLOW_TEXT = "2 2\n1.5e308 -1.5e308\n-1.5e308 1.5e308\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_refuses_a_payoff_range_past_the_float_range(tmp_path, capsys, fmt):
+    # The range overflows to inf, and so would the gains: check refuses the
+    # game before it scores it, with no warning and no report.
+    game = write(tmp_path, "g.txt", OVERFLOW_TEXT)
+    joint = write(tmp_path, "j.txt", "2 2\n0 1\n0 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--game", game, "--joint", joint, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: payoff range inf is 2**1023 or more; rescale the game\n"
 
 
 # --- value -------------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_nash_gap_rejects_mismatched_profile():
         nash_gap(profile, PENNIES)
 
 
+@pytest.mark.parametrize("big", [1.5e308, 2.0**1022])
+def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big):
+    # 2**1022 spans exactly 2**1023; 1.5e308 spans past the float range.
+    g = make_zero_sum([[big, -big], [-big, big]])
+    mu = JointDistribution([[0.0, 1.0], [0.0, 0.0]])
+    for gap in (analyze, cce_gap, lambda mu, g: nash_gap(marginal_profile(mu), g)):
+        with pytest.raises(ValueError, match=r"is 2\*\*1023 or more; rescale the game"):
+            gap(mu, g)
+    # Just inside the limit the gaps are scored, without overflow.
+    report = analyze(mu, make_zero_sum([[4e307, -4e307], [-4e307, 4e307]]))
+    assert report.cce.epsilon == 8e307 and report.two_eps.holds
+
+
 def test_gap_report_epsilon_clips_at_zero():
     mu = JointDistribution.product(MixedStrategy.uniform(3), MixedStrategy.uniform(3))
     g = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])

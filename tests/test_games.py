@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -270,6 +272,17 @@ def test_write_text_atomic_replaces_and_leaves_no_droppings(tmp_path):
     write_text_atomic(path, "new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_write_text_atomic_gives_the_mode_open_gives_a_new_file(tmp_path, umask, mode):
+    # The mode open(path, "w") gives a new file: 0o666 minus the umask.
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
 
 
 # --- codec equivalence with the per-value reference codec ---------------------

@@ -54,7 +54,7 @@ def bound_rule(algo, k, eta=0.0):
     two different rules, as functions of the cumulative vector, for the unit
     tests; each returns a fresh array."""
     cumulative, utilities, values = np.zeros(k), np.zeros(k), np.empty(())
-    play, update = _rule(algo, (eta,), (k,), cumulative, utilities, values)
+    play, update = _rule(algo, (eta,), cumulative, utilities, values)
 
     def bound_play(vector):
         cumulative[:] = vector
@@ -153,35 +153,31 @@ def test_rules_play_into_out_and_update_with_the_bits_of_the_reference_rules(alg
 
 
 @pytest.mark.parametrize("algo", list(Algo))
-@pytest.mark.parametrize("sizes", [(3, 7), (7, 3), (6, 6)])
-def test_a_rule_over_both_players_rows_has_each_players_bits(algo, sizes):
+def test_a_rule_over_both_players_rows_has_each_players_bits(algo):
     # In turn, each player's regrets are none positive, so RM and RM+ play it
     # uniform, while the other plays its own; each row is that player's rule.
     rng = np.random.default_rng(71)
-    width, etas = max(sizes), (0.3, 0.05)
-    cumulative, utilities, values = np.zeros((2, width)), np.zeros((2, width)), np.empty((2, 1))
-    play, update = _rule(algo, etas, sizes, cumulative, utilities, values)
+    k, etas = 6, (0.3, 0.05)
+    cumulative, utilities, values = np.zeros((2, k)), np.zeros((2, k)), np.empty((2, 1))
+    play, update = _rule(algo, etas, cumulative, utilities, values)
     for uniform in (0, 1):
-        vectors = [rule_cases(algo, rng, k)[2 * i] for i, k in enumerate(sizes)]
+        vectors = [rule_cases(algo, rng, k)[2 * i] for i in range(2)]
         if algo is not MW:
-            vectors[uniform] = rule_cases(algo, rng, sizes[uniform])[1]
-        player_utilities = [rng.uniform(-1.0, 1.0, size=k) for k in sizes]
-        for i, (k, vector, u) in enumerate(zip(sizes, vectors, player_utilities)):
-            cumulative[i, :k], utilities[i, :k] = vector, u
-        out = np.empty((2, width))
-        play(out)
-        probs = [out[i, :k].copy() for i, k in enumerate(sizes)]
+            vectors[uniform] = rule_cases(algo, rng, k)[1]
+        player_utilities = [rng.uniform(-1.0, 1.0, size=k) for _ in range(2)]
+        cumulative[:], utilities[:] = vectors, player_utilities
+        probs = np.empty((2, k))
+        play(probs)
         for i, (vector, p) in enumerate(zip(vectors, probs)):
             assert p.tobytes() == reference_rule_play(algo, vector).tobytes()
             values[i, 0] = p.dot(player_utilities[i])
         if algo is not MW:
-            assert np.array_equal(probs[uniform], np.full(sizes[uniform], 1.0 / sizes[uniform]))
+            assert np.array_equal(probs[uniform], np.full(k, 1.0 / k))
         update()
-        for i, k in enumerate(sizes):
+        for i in range(2):
             expected = reference_rule_update(
                 algo, etas[i], vectors[i], player_utilities[i], probs[i])
-            assert cumulative[i, :k].tobytes() == expected.tobytes()
-            assert (cumulative[i, k:] == -np.inf).all()  # the tail stays inert
+            assert cumulative[i].tobytes() == expected.tobytes()
 
 
 def test_sample_indices_never_draw_a_zero_probability_action():
@@ -341,8 +337,7 @@ def reference_game(name):
 @pytest.mark.parametrize("averaging", list(Averaging))
 # 63, 64 and 65 rounds end inside, at and just past the first block of 64;
 # 2,100 rounds end inside the 33rd.  1×k and k×1 games give one player a
-# single action.  In 5×13 and 13×5 the shorter player's row is padded to 13
-# entries, where a padded sum would regroup numpy's pairwise sum.
+# single action.  In 5×13 and 13×5 each player runs on its own vectors.
 @pytest.mark.parametrize("game, iters", [
     ("5x7", 63), ("5x7", 64), ("5x7", 65), ("5x7", 300),
     ("5x7", 2100), ("1x6", 2100), ("6x1", 2100),
@@ -485,10 +480,10 @@ def test_rm_meets_its_bound_at_the_largest_payoff_scales():
 @pytest.mark.parametrize("shape", [(40, 3), (3, 40)])
 def test_mw_runs_clean_when_the_shorter_players_weights_underflow(shape):
     # The 3-action player loses every round, so after 70,000 rounds its
-    # log-weights are all below -745, where exp underflows.  Its row is padded
-    # to 40 entries; a padding that won the per-row maximum would underflow its
-    # weights and overflow their normalization.  The pytest configuration
-    # fails on that RuntimeWarning.
+    # log-weights are all below -745, where exp underflows.  Its rule, bound
+    # to its own vectors, subtracts their maximum first; without that its
+    # weights would underflow and their normalization overflow.  The pytest
+    # configuration fails on that RuntimeWarning.
     payoff = np.ones(shape)
     payoff[0, 0] = 0.0
     g = make_zero_sum(payoff if shape[0] > shape[1] else -payoff)
