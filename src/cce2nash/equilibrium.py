@@ -12,11 +12,11 @@ same deviation payoffs ``A @ y`` and ``x @ A`` against the joint payoff
 ``sum(mu * A)`` and the profile payoff ``x A y`` respectively, so per player
 ``nash_gain = cce_gain ± (joint payoff − profile payoff)``.  ``_measure``
 computes each of these once, for ``analyze``, ``cce_gap`` and every self-play
-checkpoint.  Every gap is scored on the payoffs minus their exact shift
-(``_centered``): the gaps do not change under a shift, and a game offset far
-from 0 would otherwise round each gain to the offset's ulp.  A payoff range
-of 2**1023 or more is refused there with a ``ValueError``, since its gains
-would overflow.
+checkpoint.  Every gap is scored on :attr:`Game.centered`, the payoffs minus
+their exact shift: the gaps do not change under a shift, and a game offset
+far from 0 would otherwise round each gain to the offset's ulp.  A payoff
+range of 2**1023 or more, whose gains would overflow, never gets here:
+:class:`~cce2nash.games.Game` refuses it when it is made.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .games import (
     Player,
     StrategyProfile,
     _check_profile,
-    _shift,
     format_matrix,
     load_file,
     parse_matrix,
@@ -170,7 +169,8 @@ class CheckReport:
 def bound_slack(game: Game) -> float:
     """Slack both gap inequalities get on ``game``: ``BOUND_TOL`` times its
     largest |payoff|, so scaling the payoffs by a power of two scales it exactly."""
-    return BOUND_TOL * float(np.abs(game.payoff).max())
+    # Not max(high, -low): on an all -0.0 game that is -0.0.
+    return BOUND_TOL * max(abs(game.high), abs(game.low))
 
 
 def _check_shape(mu: JointDistribution, game: Game) -> None:
@@ -222,21 +222,18 @@ def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapRepor
     )
 
 
-def _centered(payoff: np.ndarray) -> tuple[np.ndarray, float]:
-    """``payoff − _shift(payoff)``, which is exact, and the shift; ``payoff``
-    itself when the shift is 0, so ordinary games copy nothing."""
-    shift = _shift(payoff)
-    return (payoff - shift if shift else payoff), shift
+def _profile_terms(payoff: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """``A @ y``, ``x @ A`` and the profile row payoff ``(x @ A) @ y``, the
+    order :func:`~cce2nash.games.expected_utility` evaluates, so the bits agree."""
+    ay, xa = payoff @ y, x @ payoff
+    return ay, xa, float(xa @ y)
 
 
 def _measure(payoff: np.ndarray, mass: np.ndarray) -> tuple[GapReport, GapReport, float, float]:
     """CCE gap, marginals' Nash gap, joint row payoff and profile row payoff of
-    a ``mass`` shaped like ``payoff``; validates nothing.  ``(x @ A) @ y`` is the
-    order :func:`~cce2nash.games.expected_utility` evaluates, so the bits agree."""
-    x, y = _marginal(mass, 1), _marginal(mass, 0)
-    ay, xa = payoff @ y, x @ payoff
+    a ``mass`` shaped like ``payoff``; validates nothing."""
+    ay, xa, profile_value = _profile_terms(payoff, _marginal(mass, 1), _marginal(mass, 0))
     joint_value = float((mass * payoff).sum())
-    profile_value = float(xa @ y)
     cce, nash = _best_deviation(ay, xa, joint_value), _best_deviation(ay, xa, profile_value)
     return cce, nash, joint_value, profile_value
 
@@ -249,7 +246,7 @@ def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     at a pure strategy.
     """
     _check_shape(mu, game)
-    return _measure(_centered(game.payoff)[0], mu.mass)[0]
+    return _measure(game.centered, mu.mass)[0]
 
 
 def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
@@ -259,11 +256,7 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     Nash equilibrium and measures exploitability otherwise.
     """
     _check_profile(game, profile)
-    payoff = _centered(game.payoff)[0]
-    x, y = profile.row.probs, profile.col.probs
-    xa = x @ payoff
-    # (x @ A) @ y is the order expected_utility evaluates the profile payoff in.
-    return _best_deviation(payoff @ y, xa, float(xa @ y))
+    return _best_deviation(*_profile_terms(game.centered, profile.row.probs, profile.col.probs))
 
 
 def analyze(mu: JointDistribution, game: Game) -> CheckReport:
@@ -279,7 +272,7 @@ def analyze(mu: JointDistribution, game: Game) -> CheckReport:
     :func:`bound_slack`, reported as ``tolerance``.
     """
     _check_shape(mu, game)
-    cce, nash, joint_value, profile_value = _measure(_centered(game.payoff)[0], mu.mass)
+    cce, nash, joint_value, profile_value = _measure(game.centered, mu.mass)
     lhs = abs(joint_value - profile_value)
     tol = bound_slack(game)
     return CheckReport(

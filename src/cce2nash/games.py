@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from dataclasses import dataclass
+import stat
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -37,20 +39,45 @@ class Game:
 
     ``payoff[r, c]`` is the row player's utility at the pure profile ``(r, c)``;
     the column player's utility is its negation, so the two always sum to zero.
+
+    Construction also fixes, once, how every solver and gap check normalizes
+    the payoffs, in read-only fields left out of ``repr`` and ``==``: ``high``
+    and ``low``, the largest and smallest payoff; ``shift``, their midpoint
+    when every payoff lies within a factor of 2 of it and else 0, so that
+    subtracting it is exact (Sterbenz) and keeps the payoff differences of a
+    game offset far from 0; and ``scale``, the smallest power of two above the
+    payoff range (1 for a flat game), so that dividing by it is exact (away
+    from subnormals) and maps the range into [0, 1) at every scale.  A payoff
+    range of 2**1023 or more, where gains and ``scale`` would overflow, is a
+    ValueError.
     """
 
     payoff: np.ndarray
+    high: float = field(init=False, repr=False)
+    low: float = field(init=False, repr=False)
+    shift: float = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.payoff, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("payoff must be a non-empty 2-D matrix")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
+        high, low = float(arr.max()), float(arr.min())
+        # max and min propagate NaN and inf; the cell search runs only on failure.
+        if not (math.isfinite(high) and math.isfinite(low)):
+            r, c = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"non-finite payoff entry at row {r}, column {c}")
+        spread = high - low  # Python floats: past the float range is inf, no warning
+        if not spread < 2.0**1023:
+            raise ValueError(f"payoff range {spread:g} is 2**1023 or more; rescale the game")
+        mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
+        within = (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid)
         arr.setflags(write=False)
         object.__setattr__(self, "payoff", arr)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "shift", mid if within else 0.0)
+        object.__setattr__(self, "scale", math.ldexp(1.0, math.frexp(spread)[1]))
 
     @property
     def rows(self) -> int:
@@ -67,8 +94,13 @@ class Game:
     @property
     def payoff_range(self) -> float:
         """Spread between the largest and smallest row-player payoff."""
-        # Python floats: a spread past the float range is inf, without a warning.
-        return float(self.payoff.max()) - float(self.payoff.min())
+        return self.high - self.low
+
+    @property
+    def centered(self) -> np.ndarray:
+        """``payoff − shift``, which is exact; ``payoff`` itself when the shift
+        is 0, so ordinary games copy nothing."""
+        return self.payoff - self.shift if self.shift else self.payoff
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -131,44 +163,6 @@ class StrategyProfile:
 def make_zero_sum(payoff) -> Game:
     """Build a zero-sum game from the row player's payoff matrix."""
     return Game(payoff)
-
-
-def payoff_scale(game: Game) -> float:
-    """Smallest power of two above the payoff range, 1 for a flat game.
-
-    Dividing payoffs by it is exact (away from subnormals) and maps the range
-    into [0, 1), so solvers with absolute tolerances, and accumulators that
-    could overflow, see the same numbers at every scale.
-
-    Raises:
-        ValueError: if the payoff range is 2**1023 or more (the scale would
-            overflow).
-    """
-    spread = game.payoff_range
-    _check_range(spread)
-    return math.ldexp(1.0, math.frexp(spread)[1])
-
-
-def _check_range(spread: float) -> None:
-    if not spread < 2.0**1023:
-        raise ValueError(f"payoff range {spread:g} is 2**1023 or more; rescale the game")
-
-
-def _shift(payoff: np.ndarray) -> float:
-    """The payoffs' midpoint when every payoff lies within a factor of 2 of
-    it, else 0.  Subtracting it is then exact (Sterbenz), so a game offset far
-    from 0 keeps its payoff differences, and ordinary games stay unshifted.
-
-    Raises:
-        ValueError: if the payoff range is 2**1023 or more, where gains and
-            payoff differences would overflow.
-    """
-    high, low = float(payoff.max()), float(payoff.min())
-    _check_range(high - low)  # Python floats: past the float range is inf, no warning
-    mid = 0.5 * high + 0.5 * low  # no overflow near the largest floats
-    if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
-        return mid
-    return 0.0
 
 
 def _check_profile(game: Game, profile: StrategyProfile) -> None:
@@ -256,8 +250,12 @@ def format_matrix(matrix: np.ndarray) -> str:
 
 
 def parse_game(text: str) -> Game:
-    """Parse a game from its text format."""
-    return make_zero_sum(parse_matrix(text, what="game"))
+    """Parse a game from its text format; a payoff range ``Game`` refuses is a FormatError."""
+    payoff = parse_matrix(text, what="game")
+    try:
+        return make_zero_sum(payoff)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def format_game(game: Game) -> str:
@@ -295,10 +293,14 @@ def save_game(game: Game, path) -> None:
 def write_text_atomic(path, text: str) -> None:
     """Write a whole file atomically (temp file in the same directory, then rename).
 
-    The file gets the mode ``open(path, "w")`` gives a new file, 0o666 minus
-    the umask, which the kernel applies when it creates the temp file.
+    A symlink is followed, so the file it names is replaced and the link stays.
+    An existing file keeps its permission bits.  A new file gets the mode
+    ``open(path, "w")`` gives it, 0o666 minus the umask, which the kernel
+    applies when it creates the temp file.
     """
     path = Path(path)
+    if path.is_symlink():  # one lstat; resolving every path would take one per component
+        path = path.resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
     # 64 random bits make a clash with another writer's temp name negligible;
     # O_EXCL turns one into an error rather than a shared file.
@@ -308,6 +310,8 @@ def write_text_atomic(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         try:

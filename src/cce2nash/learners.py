@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import JointDistribution, _centered, _measure, marginal_profile
-from .games import Game, StrategyProfile, payoff_scale
+from .equilibrium import JointDistribution, _measure, marginal_profile
+from .games import Game, StrategyProfile
 
 
 class Algo(Enum):
@@ -189,13 +189,12 @@ def self_play(
     round's utilities, with the fixed-horizon step size
     ``eta = sqrt(8 ln k / iters) / range`` for a player with ``k`` actions
     (0 when ``k = 1`` or the game is flat).  The rules see the payoffs
-    divided by :func:`~cce2nash.games.payoff_scale`, a power of two, so the
-    played strategies are those of the unscaled game, bit for bit away from
-    subnormals, and cumulative regrets cannot overflow at any payoff scale.
-    When every payoff lies within a factor of 2 of the payoffs' midpoint, the
-    midpoint is subtracted first, exactly; all three rules are invariant under
-    that shift, and it keeps the low bits of a game offset far from 0.
-    Games with payoffs of both signs are never shifted.  The column player's
+    minus ``game.shift`` divided by ``game.scale`` (see
+    :class:`~cce2nash.games.Game`), a power of two, so the played strategies
+    are those of the unscaled game, bit for bit away from subnormals, and
+    cumulative regrets cannot overflow at any payoff scale.  Subtracting the
+    shift is exact; all three rules are invariant under it, and it keeps the
+    low bits of a game offset far from 0.  The column player's
     utilities are ``x @ -A`` with ``-A`` negated once per run, which is
     ``-(x @ A)`` exactly.  Checkpoints measure the gaps on the shifted but
     unscaled payoffs, as :func:`~cce2nash.equilibrium.analyze` does, and add
@@ -229,7 +228,8 @@ def self_play(
         marginal profile, and the checkpoint trajectory.
 
     Raises:
-        ValueError: on a bad argument, or a payoff range of 2**1023 or more.
+        ValueError: on a bad argument.  A payoff range of 2**1023 or more is
+            refused when the :class:`~cce2nash.games.Game` is made.
     """
     algo = Algo(algo)
     col_algo = algo if col_algo is None else Algo(col_algo)
@@ -241,8 +241,7 @@ def self_play(
 
     rows, cols = game.shape
     width = max(rows, cols)
-    scale = payoff_scale(game)
-    centered, shift = _centered(game.payoff)
+    scale, shift, centered = game.scale, game.shift, game.centered
     payoff = centered / scale
     neg_payoff = -payoff  # the column player's utilities, exactly
     spread = game.payoff_range / scale

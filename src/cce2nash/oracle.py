@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import GapReport, JointDistribution
-from .games import Game, MixedStrategy, payoff_scale
+from .games import Game, MixedStrategy
 
 # Simplex feasibility/optimality tolerance; downstream consumers should test
 # derived quantities at 1e-7 to absorb conditioning of the tableau arithmetic.
@@ -156,9 +156,9 @@ def exact_value(game: Game) -> ValueSolution:
     """Game value and maximin/minimax strategies via linear programming.
 
     The reduction is the textbook one, applied to payoffs mapped onto
-    [1, 2): ``B = (A − min A)/s + 1``, where ``s = payoff_scale(game)`` is
-    the smallest power of two above the payoff range (1 for a flat game), so
-    the division is exact.  The simplex tolerances are absolute, and this normalization makes
+    [1, 2): ``B = (A − min A)/s + 1``, where ``s = game.scale`` is the
+    smallest power of two above the payoff range (1 for a flat game), so the
+    division is exact.  The simplex tolerances are absolute, and this normalization makes
     the result invariant to the scale and offset of ``A``.  The shifted
     value ``w`` of ``B`` satisfies ``w ≥ 1 > 0``.  The column player wants
     ``y`` minimizing ``max_r (B y)_r``; substituting ``z = y / w`` turns that
@@ -177,8 +177,9 @@ def exact_value(game: Game) -> ValueSolution:
     update buffer of that shape, 0.65 MB at 200×200.
 
     Raises:
-        ValueError: if the game exceeds 200×200, or its payoff range is
-            2**1023 or more (``s`` would overflow).
+        ValueError: if the game exceeds 200×200.  A payoff range of 2**1023
+            or more, where ``s`` would overflow, is refused when the
+            :class:`~cce2nash.games.Game` is made.
         SimplexLimitExceeded: if the pivot budget of ``100·(rows+cols+2)``
             runs out (not expected: the simplex terminates, and the uniform
             random 200×200 games ``default_rng(s).uniform(-1, 1, (200, 200))``
@@ -190,18 +191,15 @@ def exact_value(game: Game) -> ValueSolution:
             f"game is {rows}x{cols}; exact_value handles at most "
             f"{MAX_VALUE_DIM}x{MAX_VALUE_DIM}"
         )
-    payoff = game.payoff
-    low = float(payoff.min())
-    scale = payoff_scale(game)
     z, duals, pivots = _simplex_max_ones(
-        (payoff - low) / scale + 1.0, max_pivots=100 * (rows + cols + 2)
+        (game.payoff - game.low) / game.scale + 1.0, max_pivots=100 * (rows + cols + 2)
     )
 
     z = np.maximum(z, 0.0)
     duals = np.maximum(duals, 0.0)
     z_total = z.sum()
     return ValueSolution(
-        value=(1.0 / z_total - 1.0) * scale + low,
+        value=(1.0 / z_total - 1.0) * game.scale + game.low,
         row_strategy=MixedStrategy(duals / duals.sum()),
         col_strategy=MixedStrategy(z / z_total),
         pivots=pivots,

@@ -1,5 +1,7 @@
 """Shared random-instance builders and independent reference routes for the test suites."""
 
+import math
+
 import numpy as np
 
 from cce2nash import (
@@ -29,6 +31,28 @@ def random_joint(rng: np.random.Generator, shape) -> JointDistribution:
 def random_mixed(rng: np.random.Generator, num_actions: int) -> MixedStrategy:
     weights = rng.uniform(0.0, 1.0, size=num_actions)
     return MixedStrategy(weights / weights.sum())
+
+
+def reference_shift(payoff: np.ndarray) -> float:
+    """The payoffs' midpoint when every payoff lies within a factor of 2 of it,
+    else 0: the rule ``Game.shift`` stores, computed on its own."""
+    high, low = float(payoff.max()), float(payoff.min())
+    mid = 0.5 * high + 0.5 * low
+    if (mid > 0.0 and low >= 0.5 * mid) or (mid < 0.0 and high <= 0.5 * mid):
+        return mid
+    return 0.0
+
+
+def reference_scale(payoff: np.ndarray) -> float:
+    """Smallest power of two above the payoff range, 1 for a flat game: the
+    rule ``Game.scale`` stores, computed on its own."""
+    spread = float(payoff.max()) - float(payoff.min())
+    return math.ldexp(1.0, math.frexp(spread)[1])
+
+
+def reference_max_abs(payoff: np.ndarray) -> float:
+    """The largest |payoff|, which ``bound_slack`` multiplies by ``BOUND_TOL``."""
+    return float(np.abs(payoff).max())
 
 
 PENNIES = make_zero_sum([[1.0, -1.0], [-1.0, 1.0]])

@@ -402,8 +402,8 @@ OVERFLOW_TEXT = "2 2\n1.5e308 -1.5e308\n-1.5e308 1.5e308\n"
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_refuses_a_payoff_range_past_the_float_range(tmp_path, capsys, fmt):
-    # The range overflows to inf, and so would the gains: check refuses the
-    # game before it scores it, with no warning and no report.
+    # The range overflows to inf, and so would the gains: loading the game
+    # refuses it, naming the file, with no warning and no report.
     game = write(tmp_path, "g.txt", OVERFLOW_TEXT)
     joint = write(tmp_path, "j.txt", "2 2\n0 1\n0 0\n")
     with warnings.catch_warnings():
@@ -411,7 +411,37 @@ def test_check_refuses_a_payoff_range_past_the_float_range(tmp_path, capsys, fmt
         assert main(["check", "--game", game, "--joint", joint, "--format", fmt]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: payoff range inf is 2**1023 or more; rescale the game\n"
+    assert err == f"error: {game}: payoff range inf is 2**1023 or more; rescale the game\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--joint", "missing.txt"], ["learn", "--iters", "10", "--out", "run"], ["value"],
+])
+def test_commands_refuse_an_overflowing_game_file_before_other_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    # check never reads its (missing) joint, and learn makes no --out directory.
+    monkeypatch.chdir(tmp_path)
+    game = write(tmp_path, "overflow.txt", OVERFLOW_TEXT)
+    assert main([command[0], "--game", game, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {game}: payoff range inf is 2**1023 or more; rescale the game\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["overflow.txt"]
+
+
+# An all -0.0 game: its largest |payoff| is +0.0, so the slack is 0 and not -0.
+NEG_ZERO_TEXT = "2 2\n-0 -0\n-0 -0\n"
+
+
+def test_check_and_learn_report_a_zero_tolerance_on_an_all_negative_zero_game(tmp_path, capsys):
+    game = write(tmp_path, "negzero.txt", NEG_ZERO_TEXT)
+    joint = write(tmp_path, "uniform.txt", UNIFORM_TEXT)
+    assert main(["check", "--game", game, "--joint", joint]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" + 0)")
+    out = tmp_path / "run"
+    assert main(["learn", "--game", game, "--iters", "10", "--out", str(out)]) == 0
+    assert '"tolerance": 0.0\n' in (out / "summary.json").read_text()
 
 
 # --- value -------------------------------------------------------------------------

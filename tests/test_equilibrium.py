@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,17 +16,18 @@ from cce2nash import (
     cce_gap,
     expected_joint_utility,
     expected_utility,
+    load_game,
     load_joint,
     make_zero_sum,
     marginal,
     marginal_profile,
     nash_gap,
+    parse_game,
     parse_joint,
     save_joint,
     two_eps_check,
     value_consistency_check,
 )
-from cce2nash.games import _shift
 from helpers import ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed
 
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -229,14 +232,23 @@ def test_nash_gap_rejects_mismatched_profile():
 
 
 @pytest.mark.parametrize("big", [1.5e308, 2.0**1022])
-def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big):
-    # 2**1022 spans exactly 2**1023; 1.5e308 spans past the float range.
-    g = make_zero_sum([[big, -big], [-big, big]])
-    mu = JointDistribution([[0.0, 1.0], [0.0, 0.0]])
-    for gap in (analyze, cce_gap, lambda mu, g: nash_gap(marginal_profile(mu), g)):
-        with pytest.raises(ValueError, match=r"is 2\*\*1023 or more; rescale the game"):
-            gap(mu, g)
+def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big, tmp_path):
+    # 2**1022 spans exactly 2**1023; 1.5e308 spans past the float range.  The
+    # game is refused when it is made or loaded, so no gap check ever sees it.
+    payoff = [[big, -big], [-big, big]]
+    text = f"2 2\n{big!r} {-big!r}\n{-big!r} {big!r}\n"
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    message = r"payoff range \S+ is 2\*\*1023 or more; rescale the game$"
+    for make in (Game, make_zero_sum):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make(payoff)
+    with pytest.raises(FormatError, match=f"^{message}"):
+        parse_game(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
+        load_game(path)
     # Just inside the limit the gaps are scored, without overflow.
+    mu = JointDistribution([[0.0, 1.0], [0.0, 0.0]])
     report = analyze(mu, make_zero_sum([[4e307, -4e307], [-4e307, 4e307]]))
     assert report.cce.epsilon == 8e307 and report.two_eps.holds
 
@@ -315,7 +327,7 @@ def test_both_bounds_hold_on_random_instances(instance):
     # routes on the payoffs it scores, the game minus its shift
     report, profile = analyze(mu, game), marginal_profile(mu)
     assert report.nash_of_marginals == nash_gap(profile, game)
-    centered = make_zero_sum(game.payoff - _shift(game.payoff))
+    centered = make_zero_sum(game.payoff - game.shift)
     assert report.value_consistency.lhs == abs(
         expected_joint_utility(mu, centered, Player.ROW)
         - expected_utility(centered, Player.ROW, profile)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cce2nash import (
+    BOUND_TOL,
     FormatError,
+    Game,
     MixedStrategy,
     Player,
     StrategyProfile,
@@ -20,8 +22,11 @@ from cce2nash import (
     parse_joint,
     save_game,
 )
-from cce2nash.games import _shift, format_matrix, parse_matrix, write_text_atomic
-from helpers import ASYM, PENNIES, random_game
+from cce2nash.equilibrium import bound_slack
+from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
+from helpers import (
+    ASYM, PENNIES, random_game, reference_max_abs, reference_scale, reference_shift,
+)
 
 
 def pure_profile(game, r, c):
@@ -75,15 +80,31 @@ def test_payoff_range():
     assert make_zero_sum([[2.0]]).payoff_range == 0.0
 
 
+def shift(payoff):
+    return make_zero_sum(payoff).shift
+
+
 def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it():
-    assert _shift(np.array([[2.0, 4.0]])) == 3.0
-    assert _shift(np.array([[-4.0, -2.0]])) == -3.0
-    assert _shift(np.array([[7.0]])) == 7.0
+    assert shift([[2.0, 4.0]]) == 3.0
+    assert shift([[-4.0, -2.0]]) == -3.0
+    assert shift([[7.0]]) == 7.0
     # 1 < 2.5 / 2, mixed signs and an all-zero game take no shift
-    assert _shift(np.array([[1.0, 4.0]])) == _shift(np.array([[-4.0, -1.0]])) == 0.0
-    assert _shift(np.array([[-1.0, 3.0]])) == _shift(np.zeros((2, 2))) == 0.0
+    assert shift([[1.0, 4.0]]) == shift([[-4.0, -1.0]]) == 0.0
+    assert shift([[-1.0, 3.0]]) == shift(np.zeros((2, 2))) == 0.0
     # the midpoint of payoffs near the largest float does not overflow
-    assert _shift(np.array([[1.5e308, 1.7e308]])) == 1.6e308
+    assert shift([[1.5e308, 1.7e308]]) == 1.6e308
+
+
+def test_centered_subtracts_the_shift_and_copies_nothing_when_it_is_0():
+    g = make_zero_sum([[2.0, 4.0]])
+    assert np.array_equal(g.centered, [[-1.0, 1.0]])
+    assert PENNIES.centered is PENNIES.payoff
+
+
+def test_normalization_fields_are_derived_and_left_out_of_repr():
+    assert repr(PENNIES) == f"Game(payoff={PENNIES.payoff!r})"
+    with pytest.raises(TypeError):
+        Game([[1.0]], shift=0.0)
 
 
 # --- mixed strategies --------------------------------------------------------
@@ -285,6 +306,29 @@ def test_write_text_atomic_gives_the_mode_open_gives_a_new_file(tmp_path, umask,
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
 
 
+def test_write_text_atomic_keeps_the_mode_of_an_existing_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        write_text_atomic(path, "new\n")
+    finally:
+        os.umask(old)
+    assert path.read_text() == "new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_text_atomic_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to("target.txt")
+    write_text_atomic(link, "new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
 # --- codec equivalence with the per-value reference codec ---------------------
 # The writer formats one template per row and the reader parses the data lines
 # with numpy.  These references are the per-value writer and the per-line reader
@@ -345,6 +389,34 @@ finite_bits = st.integers(0, 2**64 - 1).map(
     lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
 ).filter(math.isfinite)
 codec_floats = st.one_of(finite_bits, st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def normalization_payoffs(draw):
+    """Payoffs at scales 2**-40 to 2**40 and offsets up to 2**52, with edge floats mixed in."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    offset = float(draw(st.one_of(st.just(0), st.integers(-(2**52), 2**52))))
+    cell = st.one_of(
+        st.floats(-1.0, 1.0).map(lambda v: v * scale + offset), st.sampled_from(EDGE_FLOATS)
+    )
+    values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalization_payoffs())
+def test_game_normalization_matches_the_reference_formulas(payoff):
+    if float(payoff.max()) - float(payoff.min()) >= 2.0**1023:
+        with pytest.raises(ValueError, match=r"is 2\*\*1023 or more; rescale the game"):
+            Game(payoff)
+        return
+    g = Game(payoff)
+    # float.hex tells the zeros apart, so each figure is compared bit for bit.
+    assert g.shift.hex() == reference_shift(payoff).hex()
+    assert g.scale.hex() == reference_scale(payoff).hex()
+    assert g.payoff_range.hex() == (float(payoff.max()) - float(payoff.min())).hex()
+    assert bound_slack(g).hex() == (BOUND_TOL * reference_max_abs(payoff)).hex()
 
 
 @settings(max_examples=200, deadline=None)

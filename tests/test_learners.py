@@ -21,7 +21,6 @@ from cce2nash import (
     self_play,
     trajectory_csv,
 )
-from cce2nash.games import _shift
 from cce2nash.learners import _eta, _rule, _sample_indices
 from helpers import PENNIES, random_game
 
@@ -267,7 +266,7 @@ def test_trajectory_checkpoints_at_log_every_and_final():
 def reference_play(game, algo, col_algo, iters):
     """Each round's strategies in self-play, from the reference rules on the
     unscaled payoffs minus their shift, one rule call at a time."""
-    payoff = game.payoff - _shift(game.payoff)
+    payoff = game.payoff - game.shift
 
     def eta(rule, k):  # the fixed-horizon step size of the self_play docstring
         if rule is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
@@ -311,7 +310,7 @@ def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
                 acc[cell] += 1.0
         return acc / acc.sum()
 
-    shift = _shift(game.payoff)
+    shift = game.shift
     centered = make_zero_sum(game.payoff - shift)
     trajectory = []
     for t in [*range(log_every, iters, log_every), iters]:
@@ -460,7 +459,7 @@ def test_checkpoints_score_an_offset_game_on_its_shifted_payoffs():
     g = make_zero_sum(np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8)) - 1e14)
     result = self_play(g, MW, iters=3000)
     final = result.trajectory[-1]
-    report = analyze(result.empirical_joint, make_zero_sum(g.payoff - _shift(g.payoff)))
+    report = analyze(result.empirical_joint, make_zero_sum(g.payoff - g.shift))
     assert final.cce_eps == report.cce.epsilon < 0.016
     assert final.nash_eps == report.nash_of_marginals.epsilon
 

@@ -18,7 +18,6 @@ from cce2nash import (
 )
 from cce2nash import oracle
 from cce2nash.oracle import _simplex_max_ones
-from cce2nash.games import payoff_scale
 from helpers import ASYM, PENNIES, RPS, full_tableau_simplex, random_game, random_joint
 
 
@@ -148,8 +147,8 @@ def test_condensed_tableau_matches_the_full_tableau_bitwise(monkeypatch, family,
         rng = np.random.default_rng([rows, cols, len(family)])
         for _ in range(2):
             payoff = build(rng, rows, cols)
-            low = payoff.min()
-            B = (payoff - low) / payoff_scale(make_zero_sum(payoff)) + 1.0
+            game = make_zero_sum(payoff)
+            B = (payoff - game.low) / game.scale + 1.0
             budget = 100 * (rows + cols + 2)
             z, duals, pivots = _simplex_max_ones(B, budget)
             ref_z, ref_duals, ref_pivots = full_tableau_simplex(B, budget)
