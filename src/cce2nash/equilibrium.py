@@ -32,7 +32,8 @@ from .games import (
     MixedStrategy,
     Player,
     StrategyProfile,
-    _check_profile,
+    _check_shape,
+    _distribution,
     format_matrix,
     load_file,
     parse_matrix,
@@ -61,22 +62,7 @@ class JointDistribution:
     sum_tol: InitVar[float] = PROB_SUM_TOL
 
     def __post_init__(self, sum_tol: float):
-        arr = np.array(self.mass, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("mass must be a non-empty 2-D matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("mass entries must be finite")
-        neg = np.argwhere(arr < 0)
-        if neg.size:
-            r, c = neg[0]
-            raise ValueError(f"negative mass {float(arr[r, c])!r} at cell ({r}, {c})")
-        total = float(arr.sum())
-        if abs(total - 1.0) > sum_tol:
-            raise ValueError(
-                f"mass sums to {total!r}, expected 1 within {sum_tol} (refusing to renormalize)"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "mass", _distribution(self.mass, 2, sum_tol))
 
     @property
     def rows(self) -> int:
@@ -103,11 +89,7 @@ class JointDistribution:
     @classmethod
     def point_mass(cls, rows: int, cols: int, cell: tuple[int, int]) -> "JointDistribution":
         r, c = cell
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ValueError(f"cell ({r}, {c}) out of range for a {rows}x{cols} distribution")
-        mass = np.zeros((rows, cols))
-        mass[r, c] = 1.0
-        return cls(mass)
+        return cls.product(MixedStrategy.point_mass(rows, r), MixedStrategy.point_mass(cols, c))
 
 
 @dataclass(frozen=True)
@@ -173,13 +155,6 @@ def bound_slack(game: Game) -> float:
     return BOUND_TOL * max(abs(game.high), abs(game.low))
 
 
-def _check_shape(mu: JointDistribution, game: Game) -> None:
-    if mu.shape != game.shape:
-        raise ValueError(
-            f"joint distribution is {mu.rows}x{mu.cols} but game is {game.rows}x{game.cols}"
-        )
-
-
 def _marginal(mass: np.ndarray, axis: int) -> np.ndarray:
     sums = mass.sum(axis=axis)
     return sums / sums.sum()
@@ -202,7 +177,7 @@ def marginal_profile(mu: JointDistribution) -> StrategyProfile:
 
 def expected_joint_utility(mu: JointDistribution, game: Game, player: Player) -> float:
     """Expected utility of ``player`` when the cell is drawn from ``mu``."""
-    _check_shape(mu, game)
+    _check_shape(game, mu.shape, "joint distribution")
     value = float((mu.mass * game.payoff).sum())
     return value if player is Player.ROW else -value
 
@@ -245,7 +220,7 @@ def cce_gap(mu: JointDistribution, game: Game) -> GapReport:
     never beats the best pure one, so the maximum over all of them is attained
     at a pure strategy.
     """
-    _check_shape(mu, game)
+    _check_shape(game, mu.shape, "joint distribution")
     return _measure(game.centered, mu.mass)[0]
 
 
@@ -255,7 +230,7 @@ def nash_gap(profile: StrategyProfile, game: Game) -> GapReport:
     Pure best responses suffice by linearity; ``epsilon`` is zero exactly at a
     Nash equilibrium and measures exploitability otherwise.
     """
-    _check_profile(game, profile)
+    _check_shape(game, (len(profile.row), len(profile.col)), "profile")
     return _best_deviation(*_profile_terms(game.centered, profile.row.probs, profile.col.probs))
 
 
@@ -271,7 +246,7 @@ def analyze(mu: JointDistribution, game: Game) -> CheckReport:
     an identity the test suite asserts separately.  Both bounds get the slack
     :func:`bound_slack`, reported as ``tolerance``.
     """
-    _check_shape(mu, game)
+    _check_shape(game, mu.shape, "joint distribution")
     cce, nash, joint_value, profile_value = _measure(game.centered, mu.mass)
     lhs = abs(joint_value - profile_value)
     tol = bound_slack(game)

@@ -108,6 +108,46 @@ class Game:
         return np.array_equal(self.payoff, other.payoff)
 
 
+# Per number of dimensions: the shape refusal, an entry's name and place, the total.
+_DISTRIBUTION_WORDS = {
+    1: ("probs must be a non-empty vector", "probability", "index {}",
+        "probabilities sum to {total!r}, expected 1 within {tol}"),
+    2: ("mass must be a non-empty 2-D matrix", "mass", "cell ({})",
+        "mass sums to {total!r}, expected 1 within {tol} (refusing to renormalize)"),
+}
+
+
+def _distribution(values, ndim: int, sum_tol: float) -> np.ndarray:
+    """``values`` as a read-only float array of ``ndim`` (1 or 2) dimensions, checked
+    to be non-empty, finite, nonnegative and to sum to 1 within ``sum_tol``, with no
+    renormalizing; else a ValueError naming the first bad entry in C order, or the sum."""
+    shape_error, noun, at, wrong_total = _DISTRIBUTION_WORDS[ndim]
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(shape_error)
+    high, low = float(arr.max()), float(arr.min())
+    # max and min propagate NaN and inf; the entry search runs only on failure.
+    finite = math.isfinite(high) and math.isfinite(low)
+    if not finite or low < 0.0:
+        kind, bad = ("negative", arr < 0.0) if finite else ("non-finite", ~np.isfinite(arr))
+        cell = np.unravel_index(int(np.argmax(bad)), arr.shape)
+        where = at.format(", ".join(map(str, cell)))
+        raise ValueError(f"{kind} {noun} {float(arr[cell])!r} at {where}")
+    with np.errstate(over="ignore"):  # a total past the float range is inf
+        total = float(arr.sum())
+    if abs(total - 1.0) > sum_tol:
+        raise ValueError(wrong_total.format(total=total, tol=sum_tol))
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_shape(game: Game, shape, what: str) -> None:
+    """Refuse ``what``, of ``shape`` (rows, cols), for a game of another shape."""
+    if shape != game.shape:
+        rows, cols = shape
+        raise ValueError(f"{what} is {rows}x{cols} but game is {game.rows}x{game.cols}")
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability distribution over one player's pure strategies."""
@@ -115,19 +155,7 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if not np.isfinite(arr).all():
-            raise ValueError("probs must be finite")
-        if (arr < 0).any():
-            i = int(np.argmax(arr < 0))
-            raise ValueError(f"negative probability {float(arr[i])!r} at index {i}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _distribution(self.probs, 1, PROB_SUM_TOL))
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -165,17 +193,9 @@ def make_zero_sum(payoff) -> Game:
     return Game(payoff)
 
 
-def _check_profile(game: Game, profile: StrategyProfile) -> None:
-    if len(profile.row) != game.rows or len(profile.col) != game.cols:
-        raise ValueError(
-            f"profile has shape {len(profile.row)}x{len(profile.col)} "
-            f"but game is {game.rows}x{game.cols}"
-        )
-
-
 def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> float:
     """Expected utility of ``player`` under the product distribution of ``profile``."""
-    _check_profile(game, profile)
+    _check_shape(game, (len(profile.row), len(profile.col)), "profile")
     value = float(profile.row.probs @ game.payoff @ profile.col.probs)
     return value if player is Player.ROW else -value
 

@@ -10,6 +10,7 @@ therefore makes the averaged marginals an approximate Nash profile.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,6 +156,17 @@ def _sample_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(below.sum(axis=1), probs.shape[1] - 1)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a Python int of at least 1; a float is a TypeError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
 def self_play(
     game: Game,
     algo,
@@ -228,16 +240,14 @@ def self_play(
         marginal profile, and the checkpoint trajectory.
 
     Raises:
+        TypeError: if ``iters`` or ``log_every`` is not an integer.
         ValueError: on a bad argument.  A payoff range of 2**1023 or more is
             refused when the :class:`~cce2nash.games.Game` is made.
     """
     algo = Algo(algo)
     col_algo = algo if col_algo is None else Algo(col_algo)
     averaging = Averaging(averaging)
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
+    iters, log_every = _count(iters, "iters"), _count(log_every, "log_every")
 
     rows, cols = game.shape
     width = max(rows, cols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import GapReport, JointDistribution
-from .games import Game, MixedStrategy
+from .games import Game, MixedStrategy, _check_shape
 
 # Simplex feasibility/optimality tolerance; downstream consumers should test
 # derived quantities at 1e-7 to absorb conditioning of the tableau arithmetic.
@@ -52,6 +52,11 @@ class ValueSolution:
 class BruteForceGaps:
     cce: GapReport
     nash_of_marginals: GapReport
+
+
+def _check_size(game: Game, limit: int, who: str) -> None:
+    if max(game.shape) > limit:
+        raise ValueError(f"game is {game.rows}x{game.cols}; {who} handles at most {limit}x{limit}")
 
 
 def _simplex_max_ones(B: np.ndarray, max_pivots: int):
@@ -185,12 +190,8 @@ def exact_value(game: Game) -> ValueSolution:
             random 200×200 games ``default_rng(s).uniform(-1, 1, (200, 200))``
             for seeds ``s`` = 0 to 7 take 664 to 992 of its 40,200 pivots).
     """
+    _check_size(game, MAX_VALUE_DIM, "exact_value")
     rows, cols = game.shape
-    if rows > MAX_VALUE_DIM or cols > MAX_VALUE_DIM:
-        raise ValueError(
-            f"game is {rows}x{cols}; exact_value handles at most "
-            f"{MAX_VALUE_DIM}x{MAX_VALUE_DIM}"
-        )
     z, duals, pivots = _simplex_max_ones(
         (game.payoff - game.low) / game.scale + 1.0, max_pivots=100 * (rows + cols + 2)
     )
@@ -199,7 +200,7 @@ def exact_value(game: Game) -> ValueSolution:
     duals = np.maximum(duals, 0.0)
     z_total = z.sum()
     return ValueSolution(
-        value=(1.0 / z_total - 1.0) * game.scale + game.low,
+        value=float((1.0 / z_total - 1.0) * game.scale + game.low),
         row_strategy=MixedStrategy(duals / duals.sum()),
         col_strategy=MixedStrategy(z / z_total),
         pivots=pivots,
@@ -215,16 +216,9 @@ def brute_force_gaps(mu: JointDistribution, game: Game) -> BruteForceGaps:
     opponent's marginal; the two are equal by linearity, and comparing them
     exercises exactly that identity.
     """
+    _check_size(game, MAX_BRUTE_DIM, "brute_force_gaps")
     rows, cols = game.shape
-    if rows > MAX_BRUTE_DIM or cols > MAX_BRUTE_DIM:
-        raise ValueError(
-            f"game is {rows}x{cols}; brute_force_gaps handles at most "
-            f"{MAX_BRUTE_DIM}x{MAX_BRUTE_DIM}"
-        )
-    if mu.shape != game.shape:
-        raise ValueError(
-            f"joint distribution is {mu.rows}x{mu.cols} but game is {rows}x{cols}"
-        )
+    _check_shape(game, mu.shape, "joint distribution")
     mass = mu.mass
     payoff = game.payoff
 

@@ -15,6 +15,7 @@ from cce2nash import (
     marginal,
 )
 from cce2nash import oracle
+from cce2nash.games import PROB_SUM_TOL, _check_shape
 
 
 def random_game(rng: np.random.Generator, max_dim: int = 20) -> Game:
@@ -55,6 +56,70 @@ def reference_max_abs(payoff: np.ndarray) -> float:
     return float(np.abs(payoff).max())
 
 
+# The distribution checks ``MixedStrategy`` and ``JointDistribution`` each ran
+# before they shared ``games._distribution``, and the three shape checks that
+# ``games._check_shape`` replaced, kept as references.  Each distribution check
+# returns the stored array or raises.
+
+
+def reference_mixed_probs(probs) -> np.ndarray:
+    arr = np.array(probs, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("probs must be a non-empty vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("probs must be finite")
+    if (arr < 0).any():
+        i = int(np.argmax(arr < 0))
+        raise ValueError(f"negative probability {float(arr[i])!r} at index {i}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+    arr.setflags(write=False)
+    return arr
+
+
+def reference_joint_mass(mass, sum_tol: float) -> np.ndarray:
+    arr = np.array(mass, dtype=float)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("mass must be a non-empty 2-D matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("mass entries must be finite")
+    neg = np.argwhere(arr < 0)
+    if neg.size:
+        r, c = neg[0]
+        raise ValueError(f"negative mass {float(arr[r, c])!r} at cell ({r}, {c})")
+    total = float(arr.sum())
+    if abs(total - 1.0) > sum_tol:
+        raise ValueError(
+            f"mass sums to {total!r}, expected 1 within {sum_tol} (refusing to renormalize)"
+        )
+    arr.setflags(write=False)
+    return arr
+
+
+def reference_check_profile(game: Game, profile: StrategyProfile) -> None:
+    if len(profile.row) != game.rows or len(profile.col) != game.cols:
+        raise ValueError(
+            f"profile has shape {len(profile.row)}x{len(profile.col)} "
+            f"but game is {game.rows}x{game.cols}"
+        )
+
+
+def reference_check_joint_shape(mu: JointDistribution, game: Game) -> None:
+    if mu.shape != game.shape:
+        raise ValueError(
+            f"joint distribution is {mu.rows}x{mu.cols} but game is {game.rows}x{game.cols}"
+        )
+
+
+def reference_check_brute_shape(mu: JointDistribution, game: Game) -> None:
+    rows, cols = game.shape
+    if mu.shape != game.shape:
+        raise ValueError(
+            f"joint distribution is {mu.rows}x{mu.cols} but game is {rows}x{cols}"
+        )
+
+
 PENNIES = make_zero_sum([[1.0, -1.0], [-1.0, 1.0]])
 RPS = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 ASYM = make_zero_sum([[3.0, -1.0], [-2.0, 1.0]])  # value 1/7, no saddle point
@@ -70,10 +135,7 @@ def deviation_value(
     marginal strategy; the acceptance suite checks it against the direct
     cell-by-cell sum over ``mu``.
     """
-    if mu.shape != game.shape:
-        raise ValueError(
-            f"joint distribution is {mu.rows}x{mu.cols} but game is {game.rows}x{game.cols}"
-        )
+    _check_shape(game, mu.shape, "joint distribution")
     own_dim = game.rows if player is Player.ROW else game.cols
     if len(deviation) != own_dim:
         raise ValueError(f"deviation has length {len(deviation)}, expected {own_dim}")

@@ -288,6 +288,17 @@ def test_check_rejects_unnormalized_mass(pennies_file, tmp_path, capsys):
     assert "refusing to renormalize" in capsys.readouterr().err
 
 
+def test_check_refuses_a_joint_whose_sum_passes_the_float_range(tmp_path, capsys):
+    game = write(tmp_path, "g.txt", "1 2\n0.5 -0.5\n")
+    joint = write(tmp_path, "huge.txt", "1 2\n1e308 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--game", game, "--joint", joint]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {joint}: mass sums to inf, expected 1 within 1e-09 (refusing to renormalize)\n"
+    )
+
+
 def test_check_rejects_dimension_mismatch_naming_shapes(tmp_path, capsys):
     game = write(tmp_path, "g.txt", "3 3\n0 -1 1\n1 0 -1\n-1 1 0\n")
     joint = write(tmp_path, "mu.txt", DIAG_TEXT)

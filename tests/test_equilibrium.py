@@ -13,6 +13,7 @@ from cce2nash import (
     Player,
     StrategyProfile,
     analyze,
+    brute_force_gaps,
     cce_gap,
     expected_joint_utility,
     expected_utility,
@@ -28,7 +29,10 @@ from cce2nash import (
     two_eps_check,
     value_consistency_check,
 )
-from helpers import ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed
+from helpers import (
+    ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed,
+    reference_check_brute_shape, reference_check_joint_shape, reference_check_profile,
+)
 
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
 
@@ -89,6 +93,8 @@ def test_joint_product_and_point_mass():
     assert np.allclose(mu.mass, [[0.125, 0.125], [0.375, 0.375]])
     pm = JointDistribution.point_mass(2, 3, (1, 2))
     assert pm.mass[1, 2] == 1.0 and pm.mass.sum() == 1.0
+    with pytest.raises(ValueError, match=r"^index 3 out of range for 3 actions$"):
+        JointDistribution.point_mass(2, 3, (0, 3))
 
 
 # --- marginals -----------------------------------------------------------------
@@ -140,6 +146,34 @@ def test_expected_joint_utility_point_mass_is_the_cell_payoff():
 def test_shape_mismatch_is_rejected_naming_both_shapes():
     with pytest.raises(ValueError, match="2x2 but game is 2x3"):
         expected_joint_utility(DIAG, make_zero_sum(np.zeros((2, 3))), Player.ROW)
+
+
+def refusal(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("game_shape, shape", [
+    ((2, 3), (3, 2)), ((2, 3), (2, 3)), ((1, 4), (4, 1)), ((3, 3), (2, 3)), ((3, 3), (3, 2)),
+    ((1, 1), (1, 2)), ((4, 2), (4, 2)),
+])
+def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
+    game = make_zero_sum(np.arange(float(np.prod(game_shape))).reshape(game_shape))
+    mu = JointDistribution(np.full(shape, 1.0 / np.prod(shape)))
+    profile = StrategyProfile(MixedStrategy.uniform(shape[0]), MixedStrategy.uniform(shape[1]))
+    joint = refusal(lambda: reference_check_joint_shape(mu, game))
+    assert joint == refusal(lambda: reference_check_brute_shape(mu, game))
+    for check in (cce_gap, analyze, lambda mu, game: expected_joint_utility(mu, game, Player.ROW)):
+        assert refusal(lambda: check(mu, game)) == joint
+    assert refusal(lambda: brute_force_gaps(mu, game)) == joint
+    # The profile check's one wording change: "profile is", not "profile has shape".
+    expected = refusal(lambda: reference_check_profile(game, profile))
+    expected = expected and expected.replace("profile has shape", "profile is")
+    assert refusal(lambda: nash_gap(profile, game)) == expected
+    assert refusal(lambda: expected_utility(game, Player.COL, profile)) == expected
 
 
 # --- deviation values ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from cce2nash import (
     BOUND_TOL,
+    JOINT_FILE_SUM_TOL,
+    PROB_SUM_TOL,
     FormatError,
     Game,
+    JointDistribution,
     MixedStrategy,
     Player,
     StrategyProfile,
@@ -25,7 +29,8 @@ from cce2nash import (
 from cce2nash.equilibrium import bound_slack
 from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
 from helpers import (
-    ASYM, PENNIES, random_game, reference_max_abs, reference_scale, reference_shift,
+    ASYM, PENNIES, random_game, reference_joint_mass, reference_max_abs, reference_mixed_probs,
+    reference_scale, reference_shift,
 )
 
 
@@ -144,6 +149,107 @@ def test_probs_are_read_only():
     s = MixedStrategy.uniform(2)
     with pytest.raises(ValueError):
         s.probs[0] = 1.0
+
+
+# --- distribution checks -----------------------------------------------------
+# MixedStrategy and JointDistribution share one check, games._distribution.
+
+DISTRIBUTION_EDGES = [
+    math.nan, math.inf, -math.inf, -1.0, -0.1, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+    1e308, 1.7976931348623157e308, 0.5, 1.0,
+]
+# Moves of one entry by these multiples of the sum tolerance put the total at
+# 1 ± sum_tol, just inside and just outside it, and well outside it.
+SUM_NUDGES = [
+    0.0, 1.0, -1.0, 1.0 - 2.0**-20, -1.0 + 2.0**-20, 1.0 + 2.0**-20, -1.0 - 2.0**-20, 2.0, -2.0,
+]
+
+
+@st.composite
+def distribution_cases(draw):
+    """``(values, ndim, sum_tol)``: a 1-D or 2-D array near a distribution."""
+    ndim = draw(st.sampled_from([1, 2]))
+    if ndim == 1:
+        shape, sum_tol = (draw(st.integers(1, 6)),), PROB_SUM_TOL
+    else:
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        sum_tol = draw(st.sampled_from([PROB_SUM_TOL, JOINT_FILE_SUM_TOL]))
+    size = math.prod(shape)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    values = weights / weights.sum() if weights.sum() > 0 else np.full(size, 1.0 / size)
+    values[draw(st.integers(0, size - 1))] += draw(st.sampled_from(SUM_NUDGES)) * sum_tol
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(DISTRIBUTION_EDGES))
+    values = values.reshape(shape)
+    if draw(st.integers(0, 9)) == 0:  # the other number of dimensions, 0-d, or empty
+        values = draw(st.sampled_from(
+            [values.reshape(-1) if ndim == 2 else values.reshape(1, -1), values.reshape(-1)[0],
+             np.empty((0,) * ndim)]
+        ))
+    return values, ndim, sum_tol
+
+
+def stored_or_message(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(distribution_cases())
+def test_distribution_check_matches_the_reference_checks(case):
+    values, ndim, sum_tol = case
+    if ndim == 1:
+        make = lambda: MixedStrategy(values).probs  # noqa: E731
+        reference = lambda: reference_mixed_probs(values)  # noqa: E731
+    else:
+        make = lambda: JointDistribution(values, sum_tol=sum_tol).mass  # noqa: E731
+        reference = lambda: reference_joint_mass(values, sum_tol)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the references' overflowing sums
+        expected = stored_or_message(reference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stored_or_message(make)
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        return
+    if expected in ("probs must be finite", "mass entries must be finite"):
+        # The one wording change: the first non-finite entry in C order is named.
+        arr = np.array(values, dtype=float)
+        cell = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        where = f"probability {float(arr[cell])!r} at index {cell[0]}" if ndim == 1 else (
+            f"mass {float(arr[cell])!r} at cell {cell}"
+        )
+        expected = f"non-finite {where}"
+    assert got == expected
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MixedStrategy([1e308, 1e308]), "probabilities sum to inf, expected 1 within 1e-12"),
+    (
+        lambda: JointDistribution([[1e308, 1e308]]),
+        "mass sums to inf, expected 1 within 1e-12 (refusing to renormalize)",
+    ),
+])
+def test_a_sum_past_the_float_range_is_refused_without_a_warning(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            make()
+    assert str(exc.value) == message
+
+
+def test_a_non_finite_entry_is_named_before_a_negative_one():
+    with pytest.raises(ValueError) as exc:
+        MixedStrategy([-0.5, 0.5, math.nan])
+    assert str(exc.value) == "non-finite probability nan at index 2"
+    with pytest.raises(ValueError) as exc:
+        JointDistribution([[-0.5, 0.5], [-math.inf, 1.0]])
+    assert str(exc.value) == "non-finite mass -inf at cell (1, 0)"
 
 
 # --- utilities ---------------------------------------------------------------

@@ -213,6 +213,23 @@ def test_self_play_rejects_bad_arguments():
         self_play(PENNIES, Algo.REGRET_MATCHING, iters=10, log_every=0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"iters": 10.0}, "iters"), ({"iters": 10, "log_every": 2.5}, "log_every"),
+    ({"iters": "10"}, "iters"),
+])
+def test_self_play_refuses_a_non_integer_count_naming_it(kwargs, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        self_play(PENNIES, Algo.REGRET_MATCHING, **kwargs)
+
+
+def test_self_play_takes_numpy_integer_counts_and_checkpoints_at_python_ints():
+    result = self_play(PENNIES, Algo.REGRET_MATCHING, iters=np.int64(130), log_every=np.int32(64))
+    assert [point.t for point in result.trajectory] == [64, 128, 130]
+    assert all(type(point.t) is int for point in result.trajectory)
+    reference = self_play(PENNIES, Algo.REGRET_MATCHING, iters=130, log_every=64)
+    assert result.trajectory == reference.trajectory
+
+
 def test_self_play_single_round_is_uniform_product():
     for algo in Algo:
         result = self_play(PENNIES, algo, iters=1)

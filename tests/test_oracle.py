@@ -95,6 +95,12 @@ def test_strong_duality_on_random_games():
         assert abs(row_guarantee - col_exposure) <= 1e-7
 
 
+def test_exact_value_is_a_python_float():
+    for game in (PENNIES, ASYM):
+        assert type(exact_value(game).value) is float
+    assert repr(exact_value(make_zero_sum([[3.0]]))).startswith("ValueSolution(value=3.0,")
+
+
 def test_exact_value_rejects_oversized_games():
     with pytest.raises(ValueError, match="200x200"):
         exact_value(make_zero_sum(np.zeros((201, 3))))
