@@ -49,7 +49,6 @@ def _int_at_least(low: int):
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
         payoff = rng.uniform(-1.0, 1.0, size=(args.rows, args.cols))
         path = out / f"game_{args.seed}_{index}.txt"
@@ -82,8 +81,8 @@ def cmd_learn(args) -> int:
     spread = game.payoff_range
     ratio = final.nash_eps / max(final.cce_eps, 1e-15 * spread) if spread else 0.0
     summary = {
-        "algo": Algo(args.algo).value,
-        "averaging": Averaging(args.averaging).value,
+        "algo": args.algo,
+        "averaging": args.averaging,
         "avg_row_payoff": final.avg_row_payoff,
         "cce_eps": final.cce_eps,
         "game": args.game,

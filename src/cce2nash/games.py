@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field
@@ -141,6 +142,18 @@ def _distribution(values, ndim: int, sum_tol: float) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str, low: int = 1) -> int:
+    """``value`` as a Python int of at least ``low``; else a TypeError (a float,
+    ``None``, a string or a sequence) or a ValueError, each naming ``name``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if number < low:
+        raise ValueError(f"{name} must be at least {low}, got {number}")
+    return number
+
+
 def _check_shape(game: Game, shape, what: str) -> None:
     """Refuse ``what``, of ``shape`` (rows, cols), for a game of another shape."""
     if shape != game.shape:
@@ -167,13 +180,13 @@ class MixedStrategy:
 
     @classmethod
     def uniform(cls, num_actions: int) -> "MixedStrategy":
-        if num_actions < 1:
-            raise ValueError(f"need at least 1 action, got {num_actions}")
+        num_actions = _integer(num_actions, "num_actions")
         return cls(np.full(num_actions, 1.0 / num_actions))
 
     @classmethod
     def point_mass(cls, num_actions: int, index: int) -> "MixedStrategy":
-        if not 0 <= index < num_actions:
+        num_actions, index = _integer(num_actions, "num_actions"), _integer(index, "index", 0)
+        if index >= num_actions:
             raise ValueError(f"index {index} out of range for {num_actions} actions")
         probs = np.zeros(num_actions)
         probs[index] = 1.0

@@ -10,14 +10,13 @@ therefore makes the averaged marginals an approximate Nash profile.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .equilibrium import JointDistribution, _measure, marginal_profile
-from .games import Game, StrategyProfile
+from .games import Game, StrategyProfile, _integer
 
 
 class Algo(Enum):
@@ -132,16 +131,15 @@ class Checkpoint:
 
 @dataclass(frozen=True, eq=False)
 class SelfPlayResult:
-    """Averaged play of one self-play run.
-
-    ``avg_profile`` is exactly ``marginal_profile(empirical_joint)``: the
-    per-player average strategies are read off the averaged joint, so the
-    Nash gap reported for them is the one ``check`` computes for that joint.
-    """
+    """Averaged play of one self-play run: the averaged joint and the checkpoints."""
 
     empirical_joint: JointDistribution
-    avg_profile: StrategyProfile
     trajectory: tuple[Checkpoint, ...]
+
+    @property
+    def avg_profile(self) -> StrategyProfile:
+        """The averaged joint's marginals, derived when read: the profile ``check`` scores."""
+        return marginal_profile(self.empirical_joint)
 
 
 # Rounds of play buffered before they are folded into the joint.
@@ -154,17 +152,6 @@ def _sample_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     # (``accumulate`` sums each row in order, so the CDF never decreases).
     below = np.add.accumulate(probs, axis=1) <= uniforms[:, None]
     return np.minimum(below.sum(axis=1), probs.shape[1] - 1)
-
-
-def _count(value, name: str) -> int:
-    """``value`` as a Python int of at least 1; a float is a TypeError."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return count
 
 
 def self_play(
@@ -228,7 +215,7 @@ def self_play(
         game: zero-sum game to play.
         algo: update rule, an :class:`Algo` or its string value.
         iters: number of rounds, at least 1.
-        seed: 64-bit seed for the sampled-averaging generator.
+        seed: non-negative integer; seeds the generator, made for sampled play only.
         averaging: ``expected`` or ``sampled``.
         log_every: checkpoint spacing for the trajectory; the final round is
             always a checkpoint.
@@ -236,18 +223,19 @@ def self_play(
             defaults to ``algo`` for both.
 
     Returns:
-        :class:`SelfPlayResult` with the averaged joint distribution, its
-        marginal profile, and the checkpoint trajectory.
+        :class:`SelfPlayResult` with the averaged joint distribution and the
+        checkpoint trajectory.
 
     Raises:
-        TypeError: if ``iters`` or ``log_every`` is not an integer.
+        TypeError: if ``iters``, ``log_every`` or ``seed`` is not an integer.
         ValueError: on a bad argument.  A payoff range of 2**1023 or more is
             refused when the :class:`~cce2nash.games.Game` is made.
     """
     algo = Algo(algo)
     col_algo = algo if col_algo is None else Algo(col_algo)
     averaging = Averaging(averaging)
-    iters, log_every = _count(iters, "iters"), _count(log_every, "log_every")
+    iters, log_every = _integer(iters, "iters"), _integer(log_every, "log_every")
+    seed = _integer(seed, "seed", 0)
 
     rows, cols = game.shape
     width = max(rows, cols)
@@ -257,7 +245,7 @@ def self_play(
     spread = game.payoff_range / scale
     etas = (_eta(algo, rows, spread, iters), _eta(col_algo, cols, spread, iters))
     sampled = averaging is Averaging.SAMPLED
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if sampled else None
 
     # Both players' state, one row each and the row player's first.
     cum, util, values = np.zeros((2, width)), np.zeros((2, width)), np.empty((2, 1))
@@ -330,10 +318,7 @@ def self_play(
 
     # The final checkpoint's mass is the result.  Every term added is nonnegative
     # or NaN, and a NaN stays, so validating this mass covers every checkpoint.
-    joint = JointDistribution(mass)
-    return SelfPlayResult(
-        empirical_joint=joint, avg_profile=marginal_profile(joint), trajectory=tuple(trajectory)
-    )
+    return SelfPlayResult(empirical_joint=JointDistribution(mass), trajectory=tuple(trajectory))
 
 
 def trajectory_csv(trajectory) -> str:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 from dataclasses import replace
 
@@ -33,6 +35,35 @@ def test_gen_round_trip(tmp_path, capsys):
     assert game.shape == (2, 2)
     assert (np.abs(game.payoff) <= 1.0).all()
     assert "game_7_0.txt" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_gen_into_a_missing_nested_directory_gives_every_file_the_umasks_mode(
+    tmp_path, capsys, umask, mode
+):
+    out = tmp_path / "deep" / "er"
+    argv = ["gen", "--rows", "3", "--cols", "4", "--count", "2", "--seed", "5", "--out", str(out)]
+    old = os.umask(umask)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    paths = [out / "game_5_0.txt", out / "game_5_1.txt"]
+    assert capsys.readouterr().out == "".join(f"{path}\n" for path in paths)
+    assert sorted(out.iterdir()) == paths
+    for path in paths:
+        assert load_game(path).shape == (3, 4)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_gen_into_a_file_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert main(["gen", "--rows", "2", "--cols", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert out.read_text() == "a file, not a directory\n"
 
 
 def test_gen_rejects_zero_rows(tmp_path):
@@ -141,6 +172,17 @@ def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
     assert main(["learn", "--game", str(game), "--iters", "10", "--out", str(out)]) == 2
     assert "200" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_learn_into_a_missing_nested_directory_writes_both_files(pennies_file, tmp_path, capsys):
+    out = tmp_path / "deep" / "er"
+    argv = ["learn", "--game", pennies_file, "--iters", "200", "--averaging", "sampled",
+            "--algo", "mw", "--out", str(out), "--format", "json"]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["algo"], summary["averaging"]) == ("mw", "sampled")
+    assert json.loads(capsys.readouterr().out) == summary
+    assert (out / "trajectory.csv").read_text().startswith("t,cce_eps,nash_eps,avg_row_payoff\n")
 
 
 def test_learn_refuses_an_unusable_out_path_before_self_play(

@@ -95,6 +95,8 @@ def test_joint_product_and_point_mass():
     assert pm.mass[1, 2] == 1.0 and pm.mass.sum() == 1.0
     with pytest.raises(ValueError, match=r"^index 3 out of range for 3 actions$"):
         JointDistribution.point_mass(2, 3, (0, 3))
+    with pytest.raises(TypeError, match=r"^index must be an integer, got float$"):
+        JointDistribution.point_mass(2, 2, (0.5, 0))
 
 
 # --- marginals -----------------------------------------------------------------

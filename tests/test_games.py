@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import warnings
 
@@ -141,8 +142,35 @@ def test_uniform_and_point_mass():
 
 @pytest.mark.parametrize("num_actions", [0, -2])
 def test_uniform_over_no_actions_is_a_value_error(num_actions):
-    with pytest.raises(ValueError, match=f"need at least 1 action, got {num_actions}"):
+    with pytest.raises(ValueError, match=f"^num_actions must be at least 1, got {num_actions}$"):
         MixedStrategy.uniform(num_actions)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MixedStrategy.uniform(2.5), "num_actions must be an integer, got float"),
+    (lambda: MixedStrategy.uniform("3"), "num_actions must be an integer, got str"),
+    (lambda: MixedStrategy.point_mass(3, 1.0), "index must be an integer, got float"),
+    (lambda: MixedStrategy.point_mass(3, None), "index must be an integer, got NoneType"),
+    (lambda: MixedStrategy.point_mass(3.0, 1), "num_actions must be an integer, got float"),
+], ids=["uniform-float", "uniform-str", "point_mass-float", "point_mass-None", "point_mass-float-count"])
+def test_strategy_constructors_refuse_a_non_integer_naming_it(make, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("num_actions, index, message", [
+    (3, 3, "index 3 out of range for 3 actions"),
+    (3, -1, "index must be at least 0, got -1"),
+    (0, 0, "num_actions must be at least 1, got 0"),
+])
+def test_point_mass_refuses_an_index_outside_the_actions(num_actions, index, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MixedStrategy.point_mass(num_actions, index)
+
+
+def test_strategy_constructors_take_numpy_integers():
+    assert MixedStrategy.uniform(np.int64(4)) == MixedStrategy.uniform(4)
+    assert MixedStrategy.point_mass(np.int32(3), np.int64(2)) == MixedStrategy.point_mass(3, 2)
 
 
 def test_probs_are_read_only():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from cce2nash import (
     Checkpoint,
     JointDistribution,
     Player,
+    SelfPlayResult,
     analyze,
     cce_gap,
     expected_joint_utility,
@@ -22,7 +24,7 @@ from cce2nash import (
     trajectory_csv,
 )
 from cce2nash.learners import _eta, _rule, _sample_indices
-from helpers import PENNIES, random_game
+from helpers import ASYM, PENNIES, random_game
 
 RM, RM_PLUS, MW = Algo.REGRET_MATCHING, Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS
 
@@ -230,6 +232,54 @@ def test_self_play_takes_numpy_integer_counts_and_checkpoints_at_python_ints():
     assert result.trajectory == reference.trajectory
 
 
+@pytest.mark.parametrize("averaging", list(Averaging))
+@pytest.mark.parametrize("seed, error, message", [
+    (None, TypeError, "seed must be an integer, got NoneType"),
+    (1.5, TypeError, "seed must be an integer, got float"),
+    ("7", TypeError, "seed must be an integer, got str"),
+    ([1, 2], TypeError, "seed must be an integer, got list"),
+    (-1, ValueError, "seed must be at least 0, got -1"),
+])
+def test_self_play_refuses_a_seed_that_is_not_a_non_negative_integer(averaging, seed, error, message):
+    # Refused under expected averaging too, which never draws: no run quietly
+    # takes OS entropy or reads a sequence as entropy.
+    with pytest.raises(error, match=f"^{message}$"):
+        self_play(PENNIES, Algo.REGRET_MATCHING, iters=10, seed=seed, averaging=averaging)
+
+
+@pytest.mark.parametrize("seed, same", [(np.int64(5), 5), (np.uint64(2**63), 2**63), (2**70, 2**70)])
+def test_self_play_seeds_the_generator_with_the_python_int(monkeypatch, seed, same):
+    seeds, default_rng = [], np.random.default_rng
+
+    def spy(value):
+        seeds.append(value)
+        return default_rng(value)
+
+    monkeypatch.setattr("cce2nash.learners.np.random.default_rng", spy)
+    result = self_play(PENNIES, Algo.REGRET_MATCHING, iters=300, seed=seed, averaging="sampled")
+    monkeypatch.undo()
+    assert seeds == [same] and type(seeds[0]) is int
+    reference = self_play(PENNIES, Algo.REGRET_MATCHING, iters=300, seed=same, averaging="sampled")
+    assert np.array_equal(result.empirical_joint.mass, reference.empirical_joint.mass)
+    assert result.trajectory == reference.trajectory
+
+
+def test_expected_self_play_makes_no_generator(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("expected averaging made a generator")
+
+    monkeypatch.setattr("cce2nash.learners.np.random.default_rng", no_generator)
+    wide = make_zero_sum([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.0]])
+    for game in (ASYM, wide):
+        for algo in Algo:
+            self_play(game, algo, iters=130, seed=4, log_every=50)
+
+
+def test_self_play_result_stores_only_the_joint_and_the_trajectory():
+    names = [field.name for field in dataclasses.fields(SelfPlayResult)]
+    assert names == ["empirical_joint", "trajectory"]
+
+
 def test_self_play_single_round_is_uniform_product():
     for algo in Algo:
         result = self_play(PENNIES, algo, iters=1)
@@ -252,14 +302,16 @@ def test_sampled_mode_depends_on_seed():
     assert not np.array_equal(a.empirical_joint.mass, b.empirical_joint.mass)
 
 
-def test_avg_profile_matches_marginals_of_joint():
-    rng = np.random.default_rng(17)
-    for averaging in Averaging:
-        g = random_game(rng, max_dim=6)
-        result = self_play(g, Algo.REGRET_MATCHING, iters=700, seed=3, averaging=averaging)
-        marginals = marginal_profile(result.empirical_joint)
-        assert np.array_equal(result.avg_profile.row.probs, marginals.row.probs)
-        assert np.array_equal(result.avg_profile.col.probs, marginals.col.probs)
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6)], ids=["square", "wide"])
+def test_avg_profile_matches_marginals_of_joint(shape):
+    g = make_zero_sum(np.random.default_rng(17).uniform(-1.0, 1.0, size=shape))
+    for algo in Algo:
+        for averaging in Averaging:
+            result = self_play(g, algo, iters=700, seed=3, averaging=averaging)
+            marginals = marginal_profile(result.empirical_joint)
+            assert result.avg_profile == marginals
+            assert np.array_equal(result.avg_profile.row.probs, marginals.row.probs)
+            assert np.array_equal(result.avg_profile.col.probs, marginals.col.probs)
 
 
 def test_trajectory_checkpoints_at_log_every_and_final():
