@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import TwoEpsCheck, analyze, bound_slack, load_joint
-from .games import format_game, load_game, make_zero_sum, write_text_atomic
+from .games import load_game, make_zero_sum, save_game, write_text_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
 
@@ -52,7 +52,7 @@ def cmd_gen(args) -> int:
     for index in range(args.count):
         payoff = rng.uniform(-1.0, 1.0, size=(args.rows, args.cols))
         path = out / f"game_{args.seed}_{index}.txt"
-        write_text_atomic(path, format_game(make_zero_sum(payoff)))
+        save_game(make_zero_sum(payoff), path)
         print(path)
     return 0
 
@@ -76,10 +76,13 @@ def cmd_learn(args) -> int:
     # The final checkpoint always exists and holds the run's closing stats;
     # reusing it keeps the CSV and the JSON summary numerically identical.
     final = result.trajectory[-1]
-    # The clamp scales with the payoffs, so the ratio does not depend on
-    # their scale; a flat game has no gaps.
-    spread = game.payoff_range
-    ratio = final.nash_eps / max(final.cce_eps, 1e-15 * spread) if spread else 0.0
+    # Gaps and range in units of game.scale, a power of two: the division is
+    # exact, so the ratio does not depend on the payoffs' scale and the clamp
+    # cannot underflow at a tiny one; a flat game has no gaps.
+    scale = game.scale
+    spread = game.payoff_range / scale
+    nash, cce = final.nash_eps / scale, final.cce_eps / scale
+    ratio = nash / max(cce, 1e-15 * spread) if spread else 0.0
     summary = {
         "algo": args.algo,
         "averaging": args.averaging,

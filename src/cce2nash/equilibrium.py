@@ -40,6 +40,27 @@ from .games import (
     write_text_atomic,
 )
 
+__all__ = [
+    "BOUND_TOL",
+    "JOINT_FILE_SUM_TOL",
+    "CheckReport",
+    "GapReport",
+    "JointDistribution",
+    "TwoEpsCheck",
+    "ValueConsistency",
+    "analyze",
+    "cce_gap",
+    "expected_joint_utility",
+    "load_joint",
+    "marginal",
+    "marginal_profile",
+    "nash_gap",
+    "parse_joint",
+    "save_joint",
+    "two_eps_check",
+    "value_consistency_check",
+]
+
 # Slack on both gap inequalities, as a fraction of the largest |payoff|.  The
 # inequalities hold exactly, so the slack only absorbs rounding, which follows
 # the payoffs' magnitude (an offset game rounds at its offset, not its range)

@@ -13,6 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "PROB_SUM_TOL",
+    "FormatError",
+    "Game",
+    "MixedStrategy",
+    "Player",
+    "StrategyProfile",
+    "expected_utility",
+    "format_game",
+    "load_game",
+    "make_zero_sum",
+    "parse_game",
+    "save_game",
+]
+
 # Probability vectors must sum to 1 within this tolerance.  It covers float
 # representation error only; checks on accumulated arithmetic downstream use
 # the looser 1e-9.

@@ -18,6 +18,15 @@ import numpy as np
 from .equilibrium import JointDistribution, _measure, marginal_profile
 from .games import Game, StrategyProfile, _integer
 
+__all__ = [
+    "Algo",
+    "Averaging",
+    "Checkpoint",
+    "SelfPlayResult",
+    "self_play",
+    "trajectory_csv",
+]
+
 
 class Algo(Enum):
     REGRET_MATCHING = "rm"
@@ -173,13 +182,14 @@ def self_play(
     first, then column, one uniform each from a PCG64 generator seeded with
     ``seed``) and a point mass is accumulated.  Play is folded into the joint
     64 rounds at a time, at rounds 64, 128, ... whatever ``log_every`` is.
-    Expected play adds each block's sum of outer products, one product
-    ``X.T @ Y`` of its stacked strategies, to the running sum, and a
-    checkpoint inside a block reads that sum plus the product of the rounds
-    so far.  Sampled play draws a block's uniforms at once from the one PCG64
-    stream, the same values as one draw at a time, and adds its counts
-    exactly, so the sampled joint is that of one draw per round.  Results are
-    deterministic given ``(algo, col_algo, iters, seed, averaging)``.
+    Each fold of expected play forms one product ``X.T @ Y`` of the stacked
+    strategies of the block's rounds so far and adds it to the running sum;
+    the total becomes the running sum when the block is full, and a
+    checkpoint inside a block only reads it.  Sampled play draws a block's
+    uniforms at once from the one PCG64 stream, the same values as one draw
+    at a time, and adds its counts exactly, so the sampled joint is that of
+    one draw per round.  Results are deterministic given
+    ``(algo, col_algo, iters, seed, averaging)``.
 
     Regret matching (+) plays the positive part of its cumulative regrets,
     normalized, and uniform when none is positive; RM+ clips its regrets at 0
@@ -264,7 +274,6 @@ def self_play(
         targets = list(zip(block[:, 0, :rows], block[:, 1, :cols]))
     regret = not (algo is col_algo is Algo.MULTIPLICATIVE_WEIGHTS)  # RM and RM+ need the values
     slots = list(zip(targets, block[:, 0, :rows], block[:, 1, :cols]))
-    block_sum = np.empty((rows, cols))
     joint_acc = np.zeros((rows, cols))
     t = filled = 0
     next_log = min(log_every, iters)
@@ -297,16 +306,15 @@ def self_play(
                 r = _sample_indices(block_x, uniforms[:, 0])
                 c = _sample_indices(block_y, uniforms[:, 1])
                 np.add.at(joint_acc, (r, c), 1.0)
+                acc = joint_acc
                 filled = 0
-            elif filled == _BLOCK:
-                joint_acc += np.matmul(block_x.T, block_y, out=block_sum)
-                filled = 0
+            else:  # a part block is read at its checkpoint without ending it
+                acc = joint_acc + block_x.T @ block_y
+                if filled == _BLOCK:
+                    joint_acc = acc
+                    filled = 0
 
         if checkpoint:
-            acc = joint_acc
-            if filled:  # expected play of a part block, read without ending it
-                acc = np.matmul(block_x.T, block_y, out=block_sum)
-                acc += joint_acc
             # Normalizing by the accumulated float total (rather than by t)
             # keeps the average summing to 1 within rounding for long runs.
             mass = acc / acc.sum()

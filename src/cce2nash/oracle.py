@@ -17,6 +17,14 @@ import numpy as np
 from .equilibrium import GapReport, JointDistribution
 from .games import Game, MixedStrategy, _check_shape
 
+__all__ = [
+    "BruteForceGaps",
+    "SimplexLimitExceeded",
+    "ValueSolution",
+    "brute_force_gaps",
+    "exact_value",
+]
+
 # Simplex feasibility/optimality tolerance; downstream consumers should test
 # derived quantities at 1e-7 to absorb conditioning of the tableau arithmetic.
 FEAS_TOL = 1e-9

@@ -202,6 +202,20 @@ def test_learn_refuses_an_unusable_out_path_before_self_play(
     assert out.read_text() == "a file, not a directory\n"
 
 
+def test_learn_leaves_no_temp_file_when_a_report_cannot_replace_its_target(
+    pennies_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
+    assert list((out / "summary.json").iterdir()) == []
+
+
 def test_learn_rejects_a_negative_seed_before_the_lp(pennies_file, tmp_path, capsys, monkeypatch):
     import cce2nash.cli as cli_mod
 
@@ -243,6 +257,21 @@ def test_learn_ratio_of_a_flat_game_is_zero(tmp_path):
     out = tmp_path / "run"
     assert main(["learn", "--game", str(path), "--iters", "50", "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["ratio"] == 0.0
+
+
+@pytest.mark.parametrize("algo", ["rm", "rmplus", "mw"])
+def test_learn_ratio_of_a_game_with_a_subnormal_range_is_that_of_the_unit_game(tmp_path, algo):
+    def summary(text, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        out = tmp_path / name
+        argv = ["learn", "--game", str(path), "--algo", algo, "--iters", "100", "--out", str(out)]
+        assert main(argv) == 0
+        return json.loads((out / "summary.json").read_text())
+
+    tiny = summary("2 2\n1e-310 0\n0 1e-310\n", "tiny")
+    assert tiny["ratio"] == 0.0
+    assert tiny["ratio"] == summary("2 2\n1 0\n0 1\n", "unit")["ratio"]
 
 
 def test_learn_reports_parse_failure_line(tmp_path, capsys):
@@ -530,6 +559,13 @@ def test_value_parse_error_names_the_file(tmp_path, capsys):
     game = write(tmp_path, "g.txt", "2 2\n1 -1\n-1 1 1\n")
     assert main(["value", "--game", game]) == 2
     assert capsys.readouterr().err == f"error: {game}: line 3: expected 2 values, found 3\n"
+
+
+def test_value_names_line_1_of_a_header_that_is_not_two_integers(tmp_path, capsys):
+    game = write(tmp_path, "g.txt", "a b\n1 -1\n-1 1\n")
+    assert main(["value", "--game", game]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {game}: line 1: expected integer dimensions 'rows cols'\n"
 
 
 def test_value_names_the_file_and_line_of_bytes_that_are_not_utf8(tmp_path, capsys):

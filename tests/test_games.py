@@ -81,6 +81,19 @@ def test_game_equality():
     assert make_zero_sum([[1.0, 2.0]]) != make_zero_sum([[1.0, 3.0]])
 
 
+def test_joint_distribution_equality():
+    assert JointDistribution([[0.5, 0.0], [0.0, 0.5]]) == JointDistribution([[0.5, 0.0], [0.0, 0.5]])
+    assert JointDistribution([[0.5, 0.0], [0.0, 0.5]]) != JointDistribution([[0.0, 0.5], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("value", [
+    make_zero_sum([[1.0, 2.0]]), MixedStrategy([0.5, 0.5]), JointDistribution([[1.0]]),
+], ids=["Game", "MixedStrategy", "JointDistribution"])
+def test_equality_with_another_type_is_false(value):
+    assert (value == 3) is False
+    assert (value != 3) is True
+
+
 def test_payoff_range():
     assert ASYM.payoff_range == 5.0
     assert make_zero_sum([[2.0]]).payoff_range == 0.0
