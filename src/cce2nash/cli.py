@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import TwoEpsCheck, analyze, bound_slack, load_joint
-from .games import load_game, make_zero_sum, save_game, write_text_atomic
+from .games import load_game, make_zero_sum, save_game, write_files_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
 
@@ -102,8 +102,8 @@ def cmd_learn(args) -> int:
     csv_text = trajectory_csv(result.trajectory)
     json_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
-    write_text_atomic(out / "trajectory.csv", csv_text)
-    write_text_atomic(out / "summary.json", json_text)
+    # One call, so a blocked target or a failed write changes neither report.
+    write_files_atomic({out / "trajectory.csv": csv_text, out / "summary.json": json_text})
     print(json_text if args.format == "json" else csv_text, end="")
     return 0
 

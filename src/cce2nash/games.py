@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import operator
 import os
@@ -339,31 +340,56 @@ def save_game(game: Game, path) -> None:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write a whole file atomically (temp file in the same directory, then rename).
+    """Write one whole file atomically: :func:`write_files_atomic` of one file."""
+    write_files_atomic({path: text})
+
+
+def write_files_atomic(texts) -> None:
+    """Write whole files atomically: each to a temp file in its target's
+    directory, then renamed over the target.  ``texts`` maps paths to text.
+
+    Every target is checked, and every temp file written, before the first
+    rename, so a target that is a directory, or a failed write, leaves every
+    target as it was.  An error names the target as given, never a temp file,
+    and no temp file is left behind.
 
     A symlink is followed, so the file it names is replaced and the link stays.
     An existing file keeps its permission bits.  A new file gets the mode
     ``open(path, "w")`` gives it, 0o666 minus the umask, which the kernel
     applies when it creates the temp file.
     """
-    path = Path(path)
-    if path.is_symlink():  # one lstat; resolving every path would take one per component
-        path = path.resolve()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # 64 random bits make a clash with another writer's temp name negligible;
-    # O_EXCL turns one into an error rather than a shared file.
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+    staged = []  # (temp file, target, target as given)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
+        for given, text in texts.items():
+            path = Path(given)
+            if path.is_symlink():  # one lstat; resolving every path would take one per component
+                path = path.resolve()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                mode = path.stat().st_mode
+            except FileNotFoundError:
+                mode = None  # a new file keeps the umask's mode
+            else:
+                if stat.S_ISDIR(mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(given))
+            # 64 random bits make a clash with another writer's temp name negligible;
+            # O_EXCL turns one into an error rather than a shared file.
+            tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+            fd = os.open(tmp, flags, 0o666)
+            staged.append((tmp, path, given))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+        for tmp, path, given in staged:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                # os.replace's message names the temp file, deleted below.
+                raise OSError(exc.errno, exc.strerror, str(given)) from None
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _, _ in staged:
+            with contextlib.suppress(OSError):  # a renamed one is gone
+                os.unlink(tmp)
         raise

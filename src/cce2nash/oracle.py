@@ -2,10 +2,10 @@
 
 Everything here exists to check the rest of the toolkit against an independent
 computation.  The minimax value comes from a self-contained dense simplex (no
-external solver; Dantzig pricing with a Bland's-rule fallback against
-cycling), and the gap reports from direct sums over the joint distribution
-that deliberately avoid the marginal-based formulas used in
-:mod:`cce2nash.equilibrium`.
+external solver; steepest-edge pricing, Dantzig's rule right after a
+degenerate pivot and Bland's rule after a run of them), and the gap reports
+from direct sums over the joint distribution that deliberately avoid the
+marginal-based formulas used in :mod:`cce2nash.equilibrium`.
 """
 
 from __future__ import annotations
@@ -84,18 +84,32 @@ def _simplex_max_ones(B: np.ndarray, max_pivots: int):
     bit for bit, for about half the floating-point work on a square game.
     Each pivot updates the tableau in place through one preallocated buffer.
 
-    The entering column is priced by Dantzig's rule: the most negative reduced
-    cost, exact ties going to the lowest label (not the lowest position).
-    After ``_DEGENERATE_RUN`` consecutive degenerate pivots (zero-length
-    ratio steps) pricing switches to Bland's rule (the lowest-label improving
-    column) until a pivot makes progress.  The leaving row is the
-    minimum-ratio row, ties within ``_RATIO_TIE_TOL`` going to the lowest-label
-    basic variable.
+    The entering column is priced by steepest edge (Forrest & Goldfarb,
+    Math. Programming 57, 1992): among the improving columns (reduced cost
+    below ``-FEAS_TOL``), the one that minimizes
+    ``reduced_j / sqrt(1 + Σ_i T[i, j]²)``, the objective's rate of change per
+    unit length of the edge it moves along.  The squared norms are recomputed
+    exactly at each such pivot, by one einsum over the row-strided view
+    ``T[:m, :n]``.  Right after a degenerate pivot (a ratio step of zero
+    length) the pivot is priced by Dantzig's rule instead, the most negative
+    reduced cost: at a degenerate vertex steepest edge kept choosing edges
+    that a tight row blocks at once.  Either way exact ties go to the lowest
+    label (not the lowest position).  The leaving row is the minimum-ratio
+    row; among rows within ``_RATIO_TIE_TOL`` of it, the one with the
+    largest pivot element, then the lowest-label basic variable.  After
+    ``_DEGENERATE_RUN`` consecutive degenerate pivots pricing switches to
+    Bland's rule until a pivot makes progress: the lowest-label improving
+    column enters, and the lowest-label basic variable among the tied rows
+    leaves.  On the 200×200 games ``default_rng(s).uniform(-1, 1, (200, 200))``
+    for ``s`` = 0 to 7 this takes 236 to 306 pivots, against 664 to 992 by
+    Dantzig's rule alone.  On the tie-heavy ones, payoffs drawn from
+    {-1, 0, 1}, it takes 254 to 339 pivots; steepest edge at every pivot
+    stalled at their first degenerate vertex, for up to 1,619.
 
     Termination: the objective never decreases, and every nondegenerate pivot
     raises it strictly, so no basis recurs across one; a cycle could consist
     only of degenerate pivots.  A run of degenerate pivots takes at most
-    ``_DEGENERATE_RUN`` Dantzig pivots and then follows Bland's rule, which
+    ``_DEGENERATE_RUN`` priced pivots and then follows Bland's rule, which
     never cycles, so the run ends at the optimum or at a nondegenerate pivot.
     There are finitely many bases, hence finitely many pivots.
 
@@ -108,43 +122,66 @@ def _simplex_max_ones(B: np.ndarray, max_pivots: int):
     T[:m, :n] = B
     T[:m, n] = 1.0
     T[m, :n] = -1.0
+    body = T[:m, :n]
     reduced = T[m, :n]
     rhs = T[:m, n]
     labels = np.arange(n)
     basis = np.arange(n, n + m)
     column = np.empty(m + 1)
+    column_body = column[:m]
     update = np.empty_like(T)
-    minimal = np.empty(n, dtype=bool)
+    improving = np.empty(n, dtype=bool)
+    norms = np.empty(n)
+    edge = np.empty(n)
+    eligible = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    tied = np.empty(m, dtype=bool)
     degenerate = 0
 
     for pivots in range(max_pivots + 1):
-        if degenerate < _DEGENERATE_RUN:
-            q = reduced.argmin()
-            cost = reduced[q]
-            if cost >= -FEAS_TOL:
-                break
-            # argmin breaks ties by position; the rule breaks them by label.
-            if np.count_nonzero(np.equal(reduced, cost, out=minimal)) > 1:
-                tied = minimal.nonzero()[0]
-                q = tied[labels[tied].argmin()]
-        else:
-            improving = (reduced < -FEAS_TOL).nonzero()[0]
-            if improving.size == 0:
-                break
-            q = improving[labels[improving].argmin()]
+        # count_nonzero and argmin cost a fraction of any() and min() at these sizes.
+        if not np.count_nonzero(np.less(reduced, -FEAS_TOL, out=improving)):
+            break
         if pivots == max_pivots:
             raise SimplexLimitExceeded(
                 f"simplex did not converge within {max_pivots} pivots"
             )
+        bland = degenerate >= _DEGENERATE_RUN
+        if bland:
+            candidates = improving.nonzero()[0]
+            q = candidates[labels[candidates].argmin()]
+        else:
+            if degenerate:
+                # Dantzig: the most negative reduced cost is an improving column's.
+                score = reduced
+            else:
+                # Steepest edge.  A column that does not improve scores ±0,
+                # above every improving column's negative score.
+                np.einsum("ij,ij->j", body, body, out=norms)
+                norms += 1.0
+                np.sqrt(norms, out=norms)
+                np.multiply(reduced, improving, out=edge)
+                np.divide(edge, norms, out=edge)
+                score = edge
+            q = score.argmin()
+            # argmin breaks ties by position; the rule breaks them by label.
+            if np.count_nonzero(np.equal(score, score[q], out=improving)) > 1:
+                candidates = improving.nonzero()[0]
+                q = candidates[labels[candidates].argmin()]
         np.copyto(column, T[:, q])
-        eligible = (column[:m] > FEAS_TOL).nonzero()[0]
-        if eligible.size == 0:
+        if not np.count_nonzero(np.greater(column_body, FEAS_TOL, out=eligible)):
             # Unreachable for positive B: every column bounds the objective.
             raise RuntimeError("unbounded LP; positive payoff shift should prevent this")
-        ratios = rhs[eligible] / column[eligible]
-        step = ratios.min()
-        tied = eligible[ratios <= step + _RATIO_TIE_TOL]
-        i = tied[basis[tied].argmin()]
+        ratios.fill(np.inf)
+        np.divide(rhs, column_body, out=ratios, where=eligible)
+        i = ratios.argmin()
+        step = ratios[i]
+        if np.count_nonzero(np.less_equal(ratios, step + _RATIO_TIE_TOL, out=tied)) > 1:
+            candidates = tied.nonzero()[0]
+            if not bland:
+                largest = column_body[candidates]
+                candidates = candidates[largest == largest.max()]
+            i = candidates[basis[candidates].argmin()]
         degenerate = degenerate + 1 if step <= _RATIO_TIE_TOL else 0
         pivot = column[i]
         column[i] = 0.0
@@ -152,7 +189,7 @@ def _simplex_max_ones(B: np.ndarray, max_pivots: int):
         # The leaving variable's unit column e_i, as dividing row i leaves it.
         T[:, q] = 0.0
         T[i, q] = 1.0 / pivot
-        np.multiply(column[:, None], T[i][None, :], out=update)
+        np.einsum("i,j->ij", column, T[i], out=update)
         T -= update
         labels[q], basis[i] = basis[i], labels[q]
 
@@ -187,7 +224,9 @@ def exact_value(game: Game) -> ValueSolution:
     ``value = (w − 1)·s + min A``.
 
     The simplex keeps a condensed ``(rows+1)×(cols+1)`` tableau and one
-    update buffer of that shape, 0.65 MB at 200×200.
+    update buffer of that shape, 0.65 MB at 200×200.  It prices by steepest
+    edge (see ``_simplex_max_ones``), which takes about a third of the pivots
+    of Dantzig's rule at 200×200.
 
     Raises:
         ValueError: if the game exceeds 200×200.  A payoff range of 2**1023
@@ -196,7 +235,7 @@ def exact_value(game: Game) -> ValueSolution:
         SimplexLimitExceeded: if the pivot budget of ``100·(rows+cols+2)``
             runs out (not expected: the simplex terminates, and the uniform
             random 200×200 games ``default_rng(s).uniform(-1, 1, (200, 200))``
-            for seeds ``s`` = 0 to 7 take 664 to 992 of its 40,200 pivots).
+            for seeds ``s`` = 0 to 7 take 236 to 306 of its 40,200 pivots).
     """
     _check_size(game, MAX_VALUE_DIM, "exact_value")
     rows, cols = game.shape

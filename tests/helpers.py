@@ -151,9 +151,11 @@ def full_tableau_simplex(B: np.ndarray, max_pivots: int):
 
     It keeps all ``n + m`` variable columns of the ``(m+1)×(n+m+1)``
     tableau, so a basic variable's column is a unit vector and pricing can
-    take the first index, which is the lowest label.  Same pricing, ratio test,
-    tolerances and pivot budget; it reads ``oracle._DEGENERATE_RUN`` at call
-    time, so a monkeypatch applies to both.  Returns ``(z, duals, pivots)``.
+    take the first index, which is the lowest label.  Same pricing (steepest
+    edge, Dantzig's rule right after a degenerate pivot, Bland's rule after
+    ``oracle._DEGENERATE_RUN`` of them), ratio test, tolerances and pivot
+    budget; it reads ``oracle._DEGENERATE_RUN`` at call time, so a
+    monkeypatch applies to both.  Returns ``(z, duals, pivots)``.
     """
     m, n = B.shape
     T = np.zeros((m + 1, n + m + 1))
@@ -169,25 +171,32 @@ def full_tableau_simplex(B: np.ndarray, max_pivots: int):
     degenerate = 0
 
     for pivots in range(max_pivots + 1):
-        if degenerate < oracle._DEGENERATE_RUN:
-            j = int(np.argmin(reduced))
-            if reduced[j] >= -oracle.FEAS_TOL:
-                break
-        else:
-            improving = np.flatnonzero(reduced < -oracle.FEAS_TOL)
-            if improving.size == 0:
-                break
-            j = int(improving[0])
+        improving = np.flatnonzero(reduced < -oracle.FEAS_TOL)
+        if improving.size == 0:
+            break
         if pivots == max_pivots:
             raise oracle.SimplexLimitExceeded(
                 f"simplex did not converge within {max_pivots} pivots"
             )
+        bland = degenerate >= oracle._DEGENERATE_RUN
+        if bland:
+            j = int(improving[0])
+        elif degenerate:
+            j = int(np.argmin(reduced))
+        else:
+            # Norms over a row-strided view, as the condensed tableau takes
+            # them: einsum over a contiguous copy may sum in another order.
+            body = T[:m, : n + m]
+            norms = np.einsum("ij,ij->j", body, body)[improving]
+            j = int(improving[np.argmin(reduced[improving] / np.sqrt(norms + 1.0))])
         eligible = np.flatnonzero(T[:m, j] > oracle.FEAS_TOL)
         if eligible.size == 0:
             raise RuntimeError("unbounded LP; positive payoff shift should prevent this")
         ratios = rhs[eligible] / T[eligible, j]
         step = ratios.min()
         tied = eligible[ratios <= step + oracle._RATIO_TIE_TOL]
+        if not bland:
+            tied = tied[T[tied, j] == T[tied, j].max()]
         i = int(tied[np.argmin(basis[tied])])
         degenerate = degenerate + 1 if step <= oracle._RATIO_TIE_TOL else 0
         T[i] /= T[i, j]

@@ -212,8 +212,21 @@ def test_learn_leaves_no_temp_file_when_a_report_cannot_replace_its_target(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
+    assert sorted(path.name for path in out.iterdir()) == ["summary.json"]
     assert list((out / "summary.json").iterdir()) == []
+
+
+def test_a_failed_learn_leaves_the_previous_reports_as_they_were(pennies_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "summary.json").mkdir(parents=True)
+    sentinel = b"a trajectory from an earlier run\n"
+    (out / "trajectory.csv").write_bytes(sentinel)
+    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(out)]) == 2
+    assert (out / "trajectory.csv").read_bytes() == sentinel
+    # The error names the target, not the temp file it would have been renamed from.
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{out / 'summary.json'}'\n"
+    assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
 
 
 def test_learn_rejects_a_negative_seed_before_the_lp(pennies_file, tmp_path, capsys, monkeypatch):

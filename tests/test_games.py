@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -28,7 +29,7 @@ from cce2nash import (
     save_game,
 )
 from cce2nash.equilibrium import bound_slack
-from cce2nash.games import format_matrix, parse_matrix, write_text_atomic
+from cce2nash.games import format_matrix, parse_matrix, write_files_atomic, write_text_atomic
 from helpers import (
     ASYM, PENNIES, random_game, reference_joint_mass, reference_max_abs, reference_mixed_probs,
     reference_scale, reference_shift,
@@ -474,6 +475,29 @@ def test_write_text_atomic_writes_through_a_symlink(tmp_path):
     write_text_atomic(link, "new\n")
     assert link.is_symlink() and target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_write_files_atomic_replaces_nothing_when_a_target_is_a_directory(tmp_path):
+    first, blocked = tmp_path / "first.txt", tmp_path / "blocked"
+    first.write_text("old\n")
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        write_files_atomic({first: "new\n", blocked: "new\n"})
+    assert str(exc.value) == f"[Errno 21] Is a directory: '{blocked}'"
+    assert first.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "first.txt"]
+
+
+def test_write_files_atomic_names_the_target_when_a_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", str(src), None, str(dst))
+
+    path = tmp_path / "out.txt"
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as exc:
+        write_files_atomic({path: "new\n"})
+    assert str(exc.value) == f"[Errno 13] Permission denied: '{path}'"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- codec equivalence with the per-value reference codec ---------------------

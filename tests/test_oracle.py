@@ -195,23 +195,40 @@ def test_exact_value_is_scale_invariant(seed, rows, cols, exponent, offset):
     ids=["tie_heavy", "duplicated"],
 )
 @pytest.mark.parametrize("run", [0, 3])
-def test_bland_fallback_reaches_the_dantzig_optimum(monkeypatch, payoff, run):
+def test_bland_fallback_reaches_the_priced_optimum(monkeypatch, payoff, run):
     game = make_zero_sum(payoff)
-    dantzig = exact_value(game)
+    priced = exact_value(game)
     # run 0 prices every pivot by Bland's rule; run 3 switches back and forth
     monkeypatch.setattr(oracle, "_DEGENERATE_RUN", run)
     fallback = exact_value(game)
-    assert fallback.value == pytest.approx(dantzig.value, abs=1e-9)
-    for sol in (dantzig, fallback):
+    assert fallback.value == pytest.approx(priced.value, abs=1e-9)
+    for sol in (priced, fallback):
         assert _nash_eps(sol, game) <= 1e-7
 
 
-def test_dantzig_takes_fewer_pivots_than_bland(monkeypatch):
+def test_steepest_edge_takes_fewer_pivots_than_bland(monkeypatch):
     game = make_zero_sum(np.random.default_rng(50).uniform(-1.0, 1.0, size=(50, 50)))
-    dantzig = exact_value(game).pivots
+    steepest = exact_value(game).pivots
     monkeypatch.setattr(oracle, "_DEGENERATE_RUN", 0)
     bland = exact_value(game).pivots
-    assert (dantzig, bland) == (58, 189)
+    assert (steepest, bland) == (43, 189)
+
+
+@pytest.mark.parametrize(
+    "family, limit",
+    [("uniform", 320), ("tie_heavy", 400)],
+)
+def test_200_by_200_games_take_few_pivots(family, limit):
+    # Dantzig pricing took 664 to 992 pivots on the uniform games and 528 to
+    # 699 on the tie-heavy ones.  Steepest edge at every pivot stalled on the
+    # tie-heavy ones' first degenerate vertex, for up to 1,619 pivots.
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        if family == "uniform":
+            payoff = rng.uniform(-1.0, 1.0, size=(200, 200))
+        else:
+            payoff = _tie_heavy(rng, 200)
+        assert exact_value(make_zero_sum(payoff)).pivots <= limit, seed
 
 
 @pytest.mark.parametrize("dim", [2, 7, 20, 50])
