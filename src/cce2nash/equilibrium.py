@@ -30,7 +30,6 @@ from .games import (
     FormatError,
     Game,
     MixedStrategy,
-    Player,
     StrategyProfile,
     _check_shape,
     _distribution,
@@ -52,7 +51,6 @@ __all__ = [
     "cce_gap",
     "expected_joint_utility",
     "load_joint",
-    "marginal",
     "marginal_profile",
     "nash_gap",
     "parse_joint",
@@ -181,26 +179,20 @@ def _marginal(mass: np.ndarray, axis: int) -> np.ndarray:
     return sums / sums.sum()
 
 
-def marginal(mu: JointDistribution, player: Player) -> MixedStrategy:
-    """Per-player strategy obtained by summing the joint mass over the opponent.
-
-    The sums are normalized by the total mass so the result is always a valid
-    probability vector even when the joint was loaded at the looser file
-    tolerance.
-    """
-    return MixedStrategy(_marginal(mu.mass, 1 if player is Player.ROW else 0))
-
-
 def marginal_profile(mu: JointDistribution) -> StrategyProfile:
-    """Both players' marginal strategies as a profile."""
-    return StrategyProfile(row=marginal(mu, Player.ROW), col=marginal(mu, Player.COL))
+    """Both players' marginal strategies: the joint mass summed over the
+    opponent, normalized by the total mass so each is a valid probability
+    vector even when the joint was loaded at the looser file tolerance."""
+    return StrategyProfile(
+        row=MixedStrategy(_marginal(mu.mass, 1)), col=MixedStrategy(_marginal(mu.mass, 0))
+    )
 
 
-def expected_joint_utility(mu: JointDistribution, game: Game, player: Player) -> float:
-    """Expected utility of ``player`` when the cell is drawn from ``mu``."""
+def expected_joint_utility(mu: JointDistribution, game: Game) -> float:
+    """The row player's expected payoff when the cell is drawn from ``mu``; the
+    column player's is its negation."""
     _check_shape(game, mu.shape, "joint distribution")
-    value = float((mu.mass * game.payoff).sum())
-    return value if player is Player.ROW else -value
+    return float((mu.mass * game.payoff).sum())
 
 
 def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapReport:
@@ -219,8 +211,7 @@ def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapRepor
 
 
 def _profile_terms(payoff: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """``A @ y``, ``x @ A`` and the profile row payoff ``(x @ A) @ y``, the
-    order :func:`~cce2nash.games.expected_utility` evaluates, so the bits agree."""
+    """``A @ y``, ``x @ A`` and the profile row payoff ``(x @ A) @ y``."""
     ay, xa = payoff @ y, x @ payoff
     return ay, xa, float(xa @ y)
 

@@ -9,7 +9,6 @@ import operator
 import os
 import stat
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,7 @@ __all__ = [
     "FormatError",
     "Game",
     "MixedStrategy",
-    "Player",
     "StrategyProfile",
-    "expected_utility",
     "format_game",
     "load_game",
     "make_zero_sum",
@@ -41,13 +38,6 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-class Player(Enum):
-    """Which side of the payoff matrix a player controls."""
-
-    ROW = "row"
-    COL = "col"
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +212,6 @@ def make_zero_sum(payoff) -> Game:
     return Game(payoff)
 
 
-def expected_utility(game: Game, player: Player, profile: StrategyProfile) -> float:
-    """Expected utility of ``player`` under the product distribution of ``profile``."""
-    _check_shape(game, (len(profile.row), len(profile.col)), "profile")
-    value = float(profile.row.probs @ game.payoff @ profile.col.probs)
-    return value if player is Player.ROW else -value
-
-
 # ---------------------------------------------------------------------------
 # Text format: line 1 is "rows cols", then `rows` lines of whitespace-separated
 # decimals (the row player's payoffs).  Lines starting with '#' and blank lines
@@ -362,12 +345,14 @@ def write_files_atomic(texts) -> None:
     try:
         for given, text in texts.items():
             path = Path(given)
-            if path.is_symlink():  # one lstat; resolving every path would take one per component
-                path = path.resolve()
-            path.parent.mkdir(parents=True, exist_ok=True)
             try:
-                mode = path.stat().st_mode
-            except FileNotFoundError:
+                # One lstat; only a symlink, dangling or not, is resolved and
+                # stat'ed again (resolving every path costs one per component).
+                mode = os.lstat(path).st_mode
+                if stat.S_ISLNK(mode):
+                    path = path.resolve()
+                    mode = os.stat(path).st_mode
+            except (FileNotFoundError, NotADirectoryError):
                 mode = None  # a new file keeps the umask's mode
             else:
                 if stat.S_ISDIR(mode):
@@ -376,7 +361,13 @@ def write_files_atomic(texts) -> None:
             # O_EXCL turns one into an error rather than a shared file.
             tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
             flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-            fd = os.open(tmp, flags, 0o666)
+            try:
+                fd = os.open(tmp, flags, 0o666)
+            except (FileNotFoundError, NotADirectoryError):
+                # The directory is missing, or a file holds its place: mkdir
+                # makes it, or raises FileExistsError naming that file.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(tmp, flags, 0o666)
             staged.append((tmp, path, given))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -8,11 +8,9 @@ from cce2nash import (
     Game,
     JointDistribution,
     MixedStrategy,
-    Player,
     StrategyProfile,
-    expected_utility,
     make_zero_sum,
-    marginal,
+    marginal_profile,
 )
 from cce2nash import oracle
 from cce2nash.games import PROB_SUM_TOL, _check_shape
@@ -125,25 +123,42 @@ RPS = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 ASYM = make_zero_sum([[3.0, -1.0], [-2.0, 1.0]])  # value 1/7, no saddle point
 
 
+def bimatrix_gains(row_payoff, col_payoff, mass) -> tuple[float, float, float, float]:
+    """Best pure-deviation gains ``(cce_row, cce_col, nash_row, nash_col)`` of
+    ``mass`` and of its marginals in the general-sum game where the row player
+    scores ``row_payoff`` and the column player ``col_payoff``: the gaps
+    ``analyze`` reports, without the zero-sum hypothesis."""
+    A, B, mass = (np.asarray(m, dtype=float) for m in (row_payoff, col_payoff, mass))
+    x, y = mass.sum(axis=1), mass.sum(axis=0)
+    # Each player's best pure deviation against the opponent's marginal.
+    row_best, col_best = float((A @ y).max()), float((x @ B).max())
+    return (
+        row_best - float((mass * A).sum()),
+        col_best - float((mass * B).sum()),
+        row_best - float(x @ A @ y),
+        col_best - float(x @ B @ y),
+    )
+
+
 def deviation_value(
-    mu: JointDistribution, game: Game, player: Player, deviation: MixedStrategy
+    mu: JointDistribution, game: Game, side: str, deviation: MixedStrategy
 ) -> float:
-    """Expected utility of committing to ``deviation`` while the opponent follows ``mu``.
+    """Expected utility to ``side`` (``"row"`` or ``"col"``) of committing to
+    ``deviation`` while the opponent follows ``mu``.
 
     In a two-player game the opponent's play under ``mu`` is fully described by
     their marginal, so this is evaluated as ``deviation`` against the opponent's
-    marginal strategy; the acceptance suite checks it against the direct
-    cell-by-cell sum over ``mu``.
+    marginal strategy, ``(x @ A) @ y``; the acceptance suite checks it against
+    the direct cell-by-cell sum over ``mu``.  The column player scores ``-A``.
     """
     _check_shape(game, mu.shape, "joint distribution")
-    own_dim = game.rows if player is Player.ROW else game.cols
+    own_dim = game.rows if side == "row" else game.cols
     if len(deviation) != own_dim:
         raise ValueError(f"deviation has length {len(deviation)}, expected {own_dim}")
-    if player is Player.ROW:
-        profile = StrategyProfile(row=deviation, col=marginal(mu, Player.COL))
-    else:
-        profile = StrategyProfile(row=marginal(mu, Player.ROW), col=deviation)
-    return expected_utility(game, player, profile)
+    marginals = marginal_profile(mu)
+    if side == "row":
+        return float(deviation.probs @ game.payoff @ marginals.col.probs)
+    return -float(marginals.row.probs @ game.payoff @ deviation.probs)
 
 
 def full_tableau_simplex(B: np.ndarray, max_pivots: int):

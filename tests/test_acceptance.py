@@ -13,7 +13,6 @@ import pytest
 
 from cce2nash import (
     Algo,
-    Player,
     StrategyProfile,
     brute_force_gaps,
     cce_gap,
@@ -76,10 +75,10 @@ def test_criterion_1_deviation_value_equals_marginal_evaluation():
     worst = 0.0
     for g, mu, dev_row, dev_col in shared_corpus():
         direct = direct_row_deviation(mu.mass, g.payoff, dev_row)
-        via_marginal = deviation_value(mu, g, Player.ROW, dev_row)
+        via_marginal = deviation_value(mu, g, "row", dev_row)
         worst = max(worst, abs(direct - via_marginal))
         direct = direct_col_deviation(mu.mass, g.payoff, dev_col)
-        via_marginal = deviation_value(mu, g, Player.COL, dev_col)
+        via_marginal = deviation_value(mu, g, "col", dev_col)
         worst = max(worst, abs(direct - via_marginal))
     elapsed = time.perf_counter() - start
     verdict(
@@ -204,7 +203,7 @@ def test_criterion_6_self_play_converges_on_matching_pennies(algo):
     elapsed = time.perf_counter() - start
 
     final_cce = cce_gap(result.empirical_joint, PENNIES).epsilon
-    avg_payoff = expected_joint_utility(result.empirical_joint, PENNIES, Player.ROW)
+    avg_payoff = expected_joint_utility(result.empirical_joint, PENNIES)
     chain_ok = all(
         point.nash_eps <= 2.0 * point.cce_eps + 1e-9 for point in result.trajectory
     )

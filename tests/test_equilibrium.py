@@ -2,25 +2,23 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cce2nash import (
     FormatError,
     Game,
     JointDistribution,
     MixedStrategy,
-    Player,
     StrategyProfile,
     analyze,
     brute_force_gaps,
     cce_gap,
     expected_joint_utility,
-    expected_utility,
     load_game,
     load_joint,
     make_zero_sum,
-    marginal,
     marginal_profile,
     nash_gap,
     parse_game,
@@ -29,8 +27,9 @@ from cce2nash import (
     two_eps_check,
     value_consistency_check,
 )
+from cce2nash.equilibrium import bound_slack
 from helpers import (
-    ASYM, PENNIES, deviation_value, random_game, random_joint, random_mixed,
+    ASYM, PENNIES, bimatrix_gains, deviation_value, random_game, random_joint, random_mixed,
     reference_check_brute_shape, reference_check_joint_shape, reference_check_profile,
 )
 
@@ -103,20 +102,21 @@ def test_joint_product_and_point_mass():
 
 
 def test_marginal_uniform_mass():
-    mu = JointDistribution(np.full((2, 2), 0.25))
-    assert np.array_equal(marginal(mu, Player.ROW).probs, [0.5, 0.5])
-    assert np.array_equal(marginal(mu, Player.COL).probs, [0.5, 0.5])
+    profile = marginal_profile(JointDistribution(np.full((2, 2), 0.25)))
+    assert np.array_equal(profile.row.probs, [0.5, 0.5])
+    assert np.array_equal(profile.col.probs, [0.5, 0.5])
 
 
 def test_marginal_point_mass():
-    mu = JointDistribution.point_mass(2, 2, (0, 1))
-    assert np.array_equal(marginal(mu, Player.ROW).probs, [1.0, 0.0])
-    assert np.array_equal(marginal(mu, Player.COL).probs, [0.0, 1.0])
+    profile = marginal_profile(JointDistribution.point_mass(2, 2, (0, 1)))
+    assert np.array_equal(profile.row.probs, [1.0, 0.0])
+    assert np.array_equal(profile.col.probs, [0.0, 1.0])
 
 
 def test_marginal_correlated_diagonal():
-    assert np.array_equal(marginal(DIAG, Player.ROW).probs, [0.5, 0.5])
-    assert np.array_equal(marginal(DIAG, Player.COL).probs, [0.5, 0.5])
+    profile = marginal_profile(DIAG)
+    assert np.array_equal(profile.row.probs, [0.5, 0.5])
+    assert np.array_equal(profile.col.probs, [0.5, 0.5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,8 +133,7 @@ def test_marginals_are_always_valid_strategies(instance):
 
 
 def test_expected_joint_utility_diagonal_pennies():
-    assert expected_joint_utility(DIAG, PENNIES, Player.ROW) == 1.0
-    assert expected_joint_utility(DIAG, PENNIES, Player.COL) == -1.0
+    assert expected_joint_utility(DIAG, PENNIES) == 1.0
 
 
 def test_expected_joint_utility_point_mass_is_the_cell_payoff():
@@ -142,12 +141,12 @@ def test_expected_joint_utility_point_mass_is_the_cell_payoff():
     g = random_game(rng, max_dim=5)
     r, c = int(rng.integers(g.rows)), int(rng.integers(g.cols))
     mu = JointDistribution.point_mass(g.rows, g.cols, (r, c))
-    assert expected_joint_utility(mu, g, Player.ROW) == g.payoff[r, c]
+    assert expected_joint_utility(mu, g) == g.payoff[r, c]
 
 
 def test_shape_mismatch_is_rejected_naming_both_shapes():
     with pytest.raises(ValueError, match="2x2 but game is 2x3"):
-        expected_joint_utility(DIAG, make_zero_sum(np.zeros((2, 3))), Player.ROW)
+        expected_joint_utility(DIAG, make_zero_sum(np.zeros((2, 3))))
 
 
 def refusal(check):
@@ -168,14 +167,13 @@ def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
     profile = StrategyProfile(MixedStrategy.uniform(shape[0]), MixedStrategy.uniform(shape[1]))
     joint = refusal(lambda: reference_check_joint_shape(mu, game))
     assert joint == refusal(lambda: reference_check_brute_shape(mu, game))
-    for check in (cce_gap, analyze, lambda mu, game: expected_joint_utility(mu, game, Player.ROW)):
+    for check in (cce_gap, analyze, expected_joint_utility):
         assert refusal(lambda: check(mu, game)) == joint
     assert refusal(lambda: brute_force_gaps(mu, game)) == joint
     # The profile check's one wording change: "profile is", not "profile has shape".
     expected = refusal(lambda: reference_check_profile(game, profile))
     expected = expected and expected.replace("profile has shape", "profile is")
     assert refusal(lambda: nash_gap(profile, game)) == expected
-    assert refusal(lambda: expected_utility(game, Player.COL, profile)) == expected
 
 
 # --- deviation values ------------------------------------------------------------
@@ -183,29 +181,27 @@ def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
 
 def test_deviation_value_diagonal_pennies_row_point_mass():
     dev = MixedStrategy.point_mass(2, 0)
-    assert deviation_value(DIAG, PENNIES, Player.ROW, dev) == pytest.approx(0.0, abs=1e-15)
+    assert deviation_value(DIAG, PENNIES, "row", dev) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_deviation_value_one_by_one():
     g = make_zero_sum([[0.7]])
     mu = JointDistribution([[1.0]])
-    assert deviation_value(mu, g, Player.ROW, MixedStrategy([1.0])) == 0.7
+    assert deviation_value(mu, g, "row", MixedStrategy([1.0])) == 0.7
 
 
-def test_deviation_value_on_product_distribution_matches_expected_utility():
+def test_deviation_value_on_product_distribution_matches_the_profile_payoff():
     # Dyadic entries keep every intermediate sum exact, so this holds with ==.
     row = MixedStrategy([0.5, 0.5])
     col = MixedStrategy([0.25, 0.75])
     mu = JointDistribution.product(row, col)
     dev = MixedStrategy([0.75, 0.25])
-    assert deviation_value(mu, ASYM, Player.ROW, dev) == expected_utility(
-        ASYM, Player.ROW, StrategyProfile(dev, col)
-    )
+    assert deviation_value(mu, ASYM, "row", dev) == float(dev.probs @ ASYM.payoff @ col.probs)
 
 
 def test_deviation_value_rejects_wrong_length():
     with pytest.raises(ValueError, match="length 3"):
-        deviation_value(DIAG, PENNIES, Player.ROW, MixedStrategy.uniform(3))
+        deviation_value(DIAG, PENNIES, "row", MixedStrategy.uniform(3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -214,12 +210,11 @@ def test_mixed_deviations_never_beat_the_best_pure_one(instance, dev_seed):
     game, mu = instance
     rng = np.random.default_rng(dev_seed)
     report = cce_gap(mu, game)
-    base = expected_joint_utility(mu, game, Player.ROW)
+    base = expected_joint_utility(mu, game)
     dev = random_mixed(rng, game.rows)
-    assert deviation_value(mu, game, Player.ROW, dev) <= base + report.row_gain + 1e-12
+    assert deviation_value(mu, game, "row", dev) <= base + report.row_gain + 1e-12
     dev_col = random_mixed(rng, game.cols)
-    base_col = expected_joint_utility(mu, game, Player.COL)
-    assert deviation_value(mu, game, Player.COL, dev_col) <= base_col + report.col_gain + 1e-12
+    assert deviation_value(mu, game, "col", dev_col) <= -base + report.col_gain + 1e-12
 
 
 # --- gap reports -------------------------------------------------------------------
@@ -329,13 +324,10 @@ def test_column_player_consistency_gap_equals_row_gap_exactly():
         g = random_game(rng, max_dim=7)
         mu = random_joint(rng, g.shape)
         profile = marginal_profile(mu)
-        row_lhs = abs(
-            expected_joint_utility(mu, g, Player.ROW) - expected_utility(g, Player.ROW, profile)
-        )
-        col_lhs = abs(
-            expected_joint_utility(mu, g, Player.COL) - expected_utility(g, Player.COL, profile)
-        )
-        assert row_lhs == col_lhs
+        joint = expected_joint_utility(mu, g)
+        product = float(profile.row.probs @ g.payoff @ profile.col.probs)
+        # The column player scores -A, so its payoffs are the row player's negated.
+        assert abs(joint - product) == abs(-joint - -product)
 
 
 def test_two_eps_diagonal_pennies():
@@ -364,9 +356,9 @@ def test_both_bounds_hold_on_random_instances(instance):
     report, profile = analyze(mu, game), marginal_profile(mu)
     assert report.nash_of_marginals == nash_gap(profile, game)
     centered = make_zero_sum(game.payoff - game.shift)
+    x, y = profile.row.probs, profile.col.probs
     assert report.value_consistency.lhs == abs(
-        expected_joint_utility(mu, centered, Player.ROW)
-        - expected_utility(centered, Player.ROW, profile)
+        expected_joint_utility(mu, centered) - float(x @ centered.payoff @ y)
     )
 
 
@@ -436,6 +428,59 @@ def test_both_bounds_hold_on_the_witness_family_at_offset_2_to_52(k):
     assert report.two_eps.holds and report.value_consistency.holds
 
 
+@st.composite
+def small_instances(draw):
+    """A zero-sum game of up to 6x6 with payoffs in [-1, 1], some of them
+    exactly -1, 0 or 1, and a joint of integer weights 0 to 8, so the search
+    can land on exact structures such as the witness [I_2 | 0] with weights
+    1 and 3."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-1, 1).map(float), st.floats(-1.0, 1.0))
+    payoff = draw(arrays(float, (rows, cols), elements=entries))
+    weights = draw(arrays(np.int64, (rows, cols), elements=st.integers(0, 8)))
+    assume(weights.any())
+    return make_zero_sum(payoff), JointDistribution(weights / weights.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_a_ratio_search_finds_no_nash_eps_above_twice_cce_eps(instance):
+    # Hypothesis steers toward joints with a large nash_eps / cce_eps; the
+    # witness family reaches 2, and no draw may pass it.  Gaps within the
+    # rounding slack are not targeted: their ratio is noise.
+    game, mu = instance
+    report, slack = analyze(mu, game), bound_slack(game)
+    cce_eps, nash_eps = report.cce.epsilon, report.nash_of_marginals.epsilon
+    if cce_eps > slack:
+        target(nash_eps / cce_eps, label="nash_eps / cce_eps")
+    assert nash_eps <= 2.0 * cce_eps + slack
+
+
+def test_bimatrix_gains_match_analyze_on_zero_sum_games():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        game = random_game(rng, max_dim=6)
+        mu = random_joint(rng, game.shape)
+        report = analyze(mu, game)
+        expected = (
+            report.cce.row_gain, report.cce.col_gain,
+            report.nash_of_marginals.row_gain, report.nash_of_marginals.col_gain,
+        )
+        got = bimatrix_gains(game.payoff, -game.payoff, mu.mass)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_negative_control_the_2eps_bound_fails_without_zero_sum():
+    # Coordination: both players get 2 at (A, A), 1 at (B, B), 0 off the
+    # diagonal.  Half (A, A), half (B, B) is an exact CCE, but its marginals
+    # (1/2, 1/2) let each player gain 1/4 by playing A.
+    payoff = [[2.0, 0.0], [0.0, 1.0]]
+    cce_row, cce_col, nash_row, nash_col = bimatrix_gains(payoff, payoff, DIAG.mass)
+    assert (cce_row, cce_col) == (-0.5, -0.5)
+    assert (nash_row, nash_col) == (0.25, 0.25)
+    assert nash_row > 2.0 * max(0.0, cce_row, cce_col)
+
+
 def test_gaps_are_shift_invariant():
     rng = np.random.default_rng(19)
     for _ in range(40):
@@ -490,5 +535,5 @@ def test_parse_joint_refuses_to_renormalize():
 def test_parse_joint_accepts_file_tolerance_slack():
     # off by 5e-10: inside the 1e-9 file tolerance, outside the 1e-12 one
     mu = parse_joint("1 2\n0.5 0.5000000005\n")
-    assert marginal(mu, Player.ROW).probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert marginal_profile(mu).row.probs.sum() == pytest.approx(1.0, abs=1e-12)
 

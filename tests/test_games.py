@@ -18,12 +18,12 @@ from cce2nash import (
     Game,
     JointDistribution,
     MixedStrategy,
-    Player,
     StrategyProfile,
-    expected_utility,
+    expected_joint_utility,
     format_game,
     load_game,
     make_zero_sum,
+    nash_gap,
     parse_game,
     parse_joint,
     save_game,
@@ -46,15 +46,19 @@ def pure_profile(game, r, c):
 
 
 def test_make_zero_sum_negates_for_column_player():
-    assert expected_utility(PENNIES, Player.COL, pure_profile(PENNIES, 0, 0)) == -1.0
-    assert expected_utility(ASYM, Player.COL, pure_profile(ASYM, 0, 1)) == 1.0
+    # At (0, 0) of pennies the column player gets -1, and 1 by switching to column 1.
+    report = nash_gap(pure_profile(PENNIES, 0, 0), PENNIES)
+    assert (report.col_gain, report.col_deviation) == (2.0, 1)
+    # At (0, 1) of ASYM it gets 1, against -3 at column 0.
+    report = nash_gap(pure_profile(ASYM, 0, 1), ASYM)
+    assert (report.col_gain, report.col_deviation) == (0.0, 1)
 
 
 def test_one_by_one_zero_game():
     g = make_zero_sum([[0.0]])
     assert g.shape == (1, 1)
-    assert expected_utility(g, Player.ROW, pure_profile(g, 0, 0)) == 0.0
-    assert expected_utility(g, Player.COL, pure_profile(g, 0, 0)) == 0.0
+    assert expected_joint_utility(JointDistribution([[1.0]]), g) == 0.0
+    assert nash_gap(pure_profile(g, 0, 0), g).epsilon == 0.0
 
 
 def test_rejects_non_finite_entry_naming_cell():
@@ -297,17 +301,15 @@ def test_a_non_finite_entry_is_named_before_a_negative_one():
 # --- utilities ---------------------------------------------------------------
 
 
-def test_expected_utility_uniform_pennies_is_zero():
-    profile = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
-    assert expected_utility(PENNIES, Player.ROW, profile) == pytest.approx(0.0, abs=1e-15)
+# The payoff of independent play is that of its product joint.
 
 
-def test_expected_utility_point_masses_equal_pure():
-    profile = StrategyProfile(MixedStrategy.point_mass(2, 0), MixedStrategy.point_mass(2, 0))
-    assert expected_utility(PENNIES, Player.ROW, profile) == 1.0
+def test_product_joint_utility_uniform_pennies_is_zero():
+    mu = JointDistribution.product(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
+    assert expected_joint_utility(mu, PENNIES) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_expected_utility_against_double_sum_oracle():
+def test_product_joint_utility_against_double_sum_oracle():
     row = MixedStrategy([0.3, 0.7])
     col = MixedStrategy([0.6, 0.4])
     # independent oracle: literal sum over all four cells
@@ -315,35 +317,16 @@ def test_expected_utility_against_double_sum_oracle():
     for r in range(2):
         for c in range(2):
             oracle += row.probs[r] * col.probs[c] * ASYM.payoff[r, c]
-    got = expected_utility(ASYM, Player.ROW, StrategyProfile(row, col))
+    got = expected_joint_utility(JointDistribution.product(row, col), ASYM)
     assert got == pytest.approx(oracle, abs=1e-12)
-    assert expected_utility(ASYM, Player.COL, StrategyProfile(row, col)) == pytest.approx(
-        -oracle, abs=1e-12
-    )
-
-
-def test_expected_utility_rejects_dimension_mismatch():
-    profile = StrategyProfile(MixedStrategy.uniform(3), MixedStrategy.uniform(2))
-    with pytest.raises(ValueError, match="3x2"):
-        expected_utility(PENNIES, Player.ROW, profile)
 
 
 # --- algebraic properties ----------------------------------------------------
 
 
-def test_zero_sum_identity_everywhere():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        g = random_game(rng, max_dim=6)
-        for r in range(g.rows):
-            for c in range(g.cols):
-                row, col = (expected_utility(g, p, pure_profile(g, r, c)) for p in Player)
-                assert row + col == 0.0
-
-
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
-def test_expected_utility_is_linear_in_row_strategy(lam, seed):
+def test_product_joint_utility_is_linear_in_row_strategy(lam, seed):
     rng = np.random.default_rng(seed)
     g = random_game(rng, max_dim=5)
     a = rng.uniform(0.01, 1.0, size=g.rows)
@@ -353,21 +336,12 @@ def test_expected_utility_is_linear_in_row_strategy(lam, seed):
     w = rng.uniform(0.01, 1.0, size=g.cols)
     t = MixedStrategy(w / w.sum())
     mix = MixedStrategy(lam * s.probs + (1.0 - lam) * s2.probs)
-    lhs = expected_utility(g, Player.ROW, StrategyProfile(mix, t))
-    rhs = lam * expected_utility(g, Player.ROW, StrategyProfile(s, t)) + (
-        1.0 - lam
-    ) * expected_utility(g, Player.ROW, StrategyProfile(s2, t))
+    def payoff(row):
+        return expected_joint_utility(JointDistribution.product(row, t), g)
+
+    lhs = payoff(mix)
+    rhs = lam * payoff(s) + (1.0 - lam) * payoff(s2)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_point_mass_profile_matches_the_cell_payoff(seed):
-    rng = np.random.default_rng(seed)
-    g = random_game(rng, max_dim=5)
-    r = int(rng.integers(g.rows))
-    c = int(rng.integers(g.cols))
-    assert expected_utility(g, Player.ROW, pure_profile(g, r, c)) == g.payoff[r, c]
 
 
 # --- text format --------------------------------------------------------------
@@ -475,6 +449,27 @@ def test_write_text_atomic_writes_through_a_symlink(tmp_path):
     write_text_atomic(link, "new\n")
     assert link.is_symlink() and target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_write_text_atomic_through_a_dangling_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "link.txt"
+    link.symlink_to("sub/target.txt")  # neither the file nor its directory exists
+    write_text_atomic(link, "new\n")
+    assert link.is_symlink() and (tmp_path / "sub" / "target.txt").read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.txt", "sub", "target.txt"]
+
+
+def test_write_files_atomic_into_an_existing_directory_makes_no_directory(tmp_path, monkeypatch):
+    calls, mkdir = [], os.mkdir
+
+    def record(path, *args, **kwargs):
+        calls.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", record)
+    write_files_atomic({tmp_path / "a.txt": "a\n", tmp_path / "b.txt": "b\n"})
+    assert calls == []
+    assert (tmp_path / "a.txt").read_text() == "a\n" and (tmp_path / "b.txt").read_text() == "b\n"
 
 
 def test_write_files_atomic_replaces_nothing_when_a_target_is_a_directory(tmp_path):

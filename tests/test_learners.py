@@ -12,7 +12,6 @@ from cce2nash import (
     Averaging,
     Checkpoint,
     JointDistribution,
-    Player,
     SelfPlayResult,
     analyze,
     cce_gap,
@@ -321,9 +320,7 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     assert final.cce_eps == cce_gap(result.empirical_joint, PENNIES).epsilon
     # learn's nash_eps is the number check computes for the same joint
     assert final.nash_eps == nash_gap(marginal_profile(result.empirical_joint), PENNIES).epsilon
-    assert final.avg_row_payoff == expected_joint_utility(
-        result.empirical_joint, PENNIES, Player.ROW
-    )
+    assert final.avg_row_payoff == expected_joint_utility(result.empirical_joint, PENNIES)
     # Every intermediate checkpoint is the public route on the joint of that round.
     g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
     for averaging in Averaging:
@@ -384,7 +381,7 @@ def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
     trajectory = []
     for t in [*range(log_every, iters, log_every), iters]:
         mu = JointDistribution(joint(t))
-        value = expected_joint_utility(mu, centered, Player.ROW)
+        value = expected_joint_utility(mu, centered)
         trajectory.append(Checkpoint(
             t, cce_gap(mu, game).epsilon, nash_gap(marginal_profile(mu), game).epsilon,
             avg_row_payoff=value + shift if shift else value,
