@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import TwoEpsCheck, analyze, bound_slack, load_joint
-from .games import load_game, make_zero_sum, save_game, write_files_atomic
+from .games import load_game, make_directory, make_zero_sum, save_game, write_files_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
 
@@ -64,7 +64,7 @@ def cmd_learn(args) -> int:
     oracle = exact_value(game)
     # Made before self-play, the long step, so an unusable --out fails at once.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    make_directory(out)
     result = self_play(
         game,
         algo=args.algo,

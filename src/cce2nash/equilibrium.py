@@ -253,10 +253,13 @@ def analyze(mu: JointDistribution, game: Game) -> CheckReport:
     Both gaps score the deviation payoffs ``A @ y`` and ``x @ A`` of the
     marginals ``(x, y)``, so ``nash_gain = cce_gain ± (joint payoff − profile
     payoff)`` per player.  The value-consistency bound compares those two
-    payoffs.  Only the row player is evaluated: the game is zero-sum, so the
-    column player's absolute gap is the same number (negation of a negation),
-    an identity the test suite asserts separately.  Both bounds get the slack
-    :func:`bound_slack`, reported as ``tolerance``.
+    payoffs.  Only the row player's payoffs are evaluated: the game is
+    zero-sum, so the column player's are their negation.  Swapping the roles
+    (``mu.mass.T`` on ``-A.T``) trades the row and column gains and leaves
+    ``value_consistency.lhs`` as it is, as
+    ``tests/test_equilibrium.py::test_swapping_the_players_trades_their_gains``
+    asserts.  Both bounds get the slack :func:`bound_slack`, reported as
+    ``tolerance``.
     """
     _check_shape(game, mu.shape, "joint distribution")
     cce, nash, joint_value, profile_value = _measure(game.centered, mu.mass)

@@ -66,6 +66,25 @@ def test_gen_into_a_file_exits_2_naming_it(tmp_path, capsys):
     assert out.read_text() == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize("out", ["link", "link/sub"])
+def test_gen_through_a_dangling_directory_symlink_makes_its_target(tmp_path, capsys, out):
+    (tmp_path / "link").symlink_to("missing_dir")
+    out = tmp_path / out
+    assert main(["gen", "--rows", "2", "--cols", "2", "--out", f"{out}/"]) == 0
+    assert capsys.readouterr().out == f"{out / 'game_0_0.txt'}\n"
+    made = tmp_path / "missing_dir" / out.relative_to(tmp_path / "link")
+    assert (tmp_path / "link").is_symlink() and load_game(made / "game_0_0.txt").shape == (2, 2)
+
+
+def test_gen_into_a_symlink_loop_exits_2(tmp_path, capsys):
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    assert main(["gen", "--rows", "2", "--cols", "2", "--out", str(tmp_path / "a")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert f"{tmp_path / 'a'}" in captured.err
+
+
 def test_gen_rejects_zero_rows(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--rows", "0", "--cols", "2", "--out", str(tmp_path)])
@@ -200,6 +219,24 @@ def test_learn_refuses_an_unusable_out_path_before_self_play(
     assert main(argv) == 2
     assert str(out) in capsys.readouterr().err
     assert out.read_text() == "a file, not a directory\n"
+
+
+def test_learn_through_a_dangling_directory_symlink_makes_its_target(pennies_file, tmp_path):
+    (tmp_path / "link").symlink_to("missing_dir")
+    out = f"{tmp_path / 'link'}/"
+    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", out]) == 0
+    assert (tmp_path / "link").is_symlink()
+    assert sorted(p.name for p in (tmp_path / "missing_dir").iterdir()) == [
+        "summary.json", "trajectory.csv"]
+
+
+def test_learn_into_a_symlink_loop_exits_2(pennies_file, tmp_path, capsys):
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(tmp_path / "a")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert f"'{tmp_path / 'a'}'" in captured.err
 
 
 def test_learn_leaves_no_temp_file_when_a_report_cannot_replace_its_target(

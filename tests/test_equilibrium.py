@@ -318,16 +318,27 @@ def test_value_consistency_point_mass():
     assert result.holds
 
 
-def test_column_player_consistency_gap_equals_row_gap_exactly():
+def test_swapping_the_players_trades_their_gains():
+    # The column player of (A, mu) is the row player of (-A^T, mu^T), so with
+    # roles swapped the row and column gains trade places and |joint payoff -
+    # profile payoff| is unchanged.  The swapped profile payoff is summed in
+    # another order, so figures agree within 4 ulps of the payoff range (at
+    # most 0.25 on these games; the gains and deviations often exactly).
     rng = np.random.default_rng(13)
     for _ in range(30):
         g = random_game(rng, max_dim=7)
         mu = random_joint(rng, g.shape)
-        profile = marginal_profile(mu)
-        joint = expected_joint_utility(mu, g)
-        product = float(profile.row.probs @ g.payoff @ profile.col.probs)
-        # The column player scores -A, so its payoffs are the row player's negated.
-        assert abs(joint - product) == abs(-joint - -product)
+        report = analyze(mu, g)
+        swapped = analyze(JointDistribution(mu.mass.T), make_zero_sum(-g.payoff.T))
+        tol = 4 * np.spacing(g.payoff_range)
+        for mine, theirs in ((report.cce, swapped.cce),
+                             (report.nash_of_marginals, swapped.nash_of_marginals)):
+            assert mine.row_gain == pytest.approx(theirs.col_gain, rel=0, abs=tol)
+            assert mine.col_gain == pytest.approx(theirs.row_gain, rel=0, abs=tol)
+            assert (mine.row_deviation, mine.col_deviation) == (
+                theirs.col_deviation, theirs.row_deviation)
+        lhs = swapped.value_consistency.lhs
+        assert report.value_consistency.lhs == pytest.approx(lhs, rel=0, abs=tol)
 
 
 def test_two_eps_diagonal_pennies():

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -496,9 +497,10 @@ def test_write_files_atomic_names_the_target_when_a_rename_fails(tmp_path, monke
 
 
 # --- codec equivalence with the per-value reference codec ---------------------
-# The writer formats one template per row and the reader parses the data lines
-# with numpy.  These references are the per-value writer and the per-line reader
-# they replaced; the codec must agree with them byte for byte and bit for bit.
+# The writer formats one template per row, rows of values in [1e-4, 1) from
+# exact integer digits, and the reader parses the data lines with numpy.  These
+# references are the per-value writer and the per-line reader they replaced; the
+# codec must agree with them byte for byte and bit for bit.
 
 
 def reference_format_matrix(matrix):
@@ -601,6 +603,77 @@ def test_format_matrix_matches_the_per_value_writer(shape, data):
     text = format_matrix(matrix)
     assert text == reference_format_matrix(matrix)
     assert parse_matrix(text).tobytes() == matrix.tobytes()
+
+
+def _neighbours(x, steps):
+    out = [x]
+    for direction in (0.0, 2.0):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+# Each power of ten from 1 to 1e-5, as the double nearest it, with six float
+# neighbours either side (the largest below each is the double nearest to
+# rounding up a decade); exact 17-digit ties, j * 2**-(17 - E) with j odd in
+# decade E, which %.17g rounds half to even; and what sends a row off the digit
+# path: 0, -0.0, 1, 1e-5 and subnormals.
+DECADE_NEIGHBOURS = np.array(
+    [x for k in range(6) for x in _neighbours(float(f"1e-{k}"), 6)]
+)
+DIGIT_TIES = np.array([
+    math.ldexp(j, exponent - 17)
+    for exponent in (-4, -3, -2, -1)
+    for j in range(math.ceil(10.0**exponent * 2 ** (17 - exponent)) | 1,
+                   int(10.0 ** (exponent + 1) * 2 ** (17 - exponent)), 14)
+])
+OFF_DIGIT_PATH = np.array([0.0, -0.0, 1.0, -1.0, 1e-5, -1e-5, 5e-324, 2.2250738585072009e-308,
+                           -1e-310])
+
+
+@st.composite
+def digit_matrices(draw):
+    """Up to 6 by 200 values, mostly in +-[1e-4, 1): log-uniform, decade
+    neighbours and ties in drawn shares, with a drawn share of off-path values."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rows * cols
+    values = 10.0 ** rng.uniform(-4.0, 0.0, size)
+    for pool, share in ((DECADE_NEIGHBOURS, draw(st.sampled_from([0.0, 0.1, 0.5]))),
+                        (DIGIT_TIES, draw(st.sampled_from([0.0, 0.1, 0.5]))),
+                        (OFF_DIGIT_PATH, draw(st.sampled_from([0.0, 0.0, 0.002, 0.05])))):
+        at = rng.random(size) < share
+        values[at] = rng.choice(pool, int(at.sum()))
+    signs = rng.choice([1.0, -1.0], size)
+    return (values * signs).reshape(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_matrices())
+def test_format_matrix_writes_digit_rows_as_the_per_value_writer(matrix):
+    text = format_matrix(matrix)
+    assert text == reference_format_matrix(matrix)
+    assert parse_matrix(text).tobytes() == matrix.tobytes()
+    # A game built from a transposed array keeps its column-major layout.
+    assert format_matrix(np.asfortranarray(matrix)) == text
+
+
+def test_digit_ties_lie_halfway_between_two_17_digit_decimals():
+    for x in DIGIT_TIES.tolist():
+        decade = next(e for e in (-1, -2, -3, -4) if Fraction(x) >= Fraction(10) ** e)
+        assert Fraction(x) < Fraction(10) ** (decade + 1)
+        assert (Fraction(x) * 10 ** (16 - decade)).denominator == 2
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_no_double_below_a_power_of_ten_rounds_up_to_it_at_17_digits(k):
+    # So no digit row needs a carry into the next decade: the largest double
+    # below 10**-k keeps 17 digits below it, and so does every smaller one.
+    below = math.nextafter(float(f"1e-{k}"), 0.0)
+    assert below < Fraction(1, 10**k)
+    assert Fraction("%.17g" % below) < Fraction(1, 10**k)
 
 
 # Spellings only float() reads (`1_0`, non-ASCII digits), Unicode separators, a
