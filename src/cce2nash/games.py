@@ -278,19 +278,39 @@ def _split(x):
     return high, x - high
 
 
-# A search among these edges gives each value x a code 0..7: 0..3 for x <=
-# -1e-1, -1e-2, -1e-3 and < 0, 4..7 for x < 1e-3, 1e-2, 1e-1 and 1.  Each
-# negative edge is the double next to -1e-k towards 0, so the search counts it
-# for every x above -1e-k.  By code: what %.17g writes before the digits, and
-# 10**(16 - E), E = floor(log10 |x|), split into halves.
+# A search among these edges gives each value x a code 0..11: 0..5 for x <=
+# -1e-1, ..., -1e-5 and < 0, 6..11 for x < 1e-5, 1e-4, ..., 1e-1 and 1, so
+# decade E = floor(log10 |x|) is -1 - code for codes 0..5 and code - 12 for
+# 6..11.  Each negative edge is the double next to -1e-k towards 0, so the
+# search counts it for every x above -1e-k.  By code: what %.17g writes before
+# the digits (decades -1 to -4, in fixed notation), and 10**(16 - E), split
+# into halves.  The decades -5 and -6 are written in exponent notation.
 _DIGIT_EDGES = np.array(
-    [math.nextafter(-e, 0.0) for e in (1e-1, 1e-2, 1e-3)] + [0.0, 1e-3, 1e-2, 1e-1]
+    [math.nextafter(-e, 0.0) for e in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
+    + [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
 )
-_DIGIT_PREFIXES = np.array(
-    ["-0.", "-0.0", "-0.00", "-0.000", "0.000", "0.00", "0.0", "0."], dtype=object
-)
-_DIGIT_SCALES = np.array([1e17, 1e18, 1e19, 1e20, 1e20, 1e19, 1e18, 1e17])
+_DIGIT_SCALES = np.array([10.0**k for k in range(17, 23)] + [10.0**k for k in range(22, 16, -1)])
 _DIGIT_SCALE_HIGH, _DIGIT_SCALE_LOW = _split(_DIGIT_SCALES)
+# The double 1e-6 lies below 10**-6 (%.17g writes 9.9999999999999995e-07);
+# the next double up is the smallest at or above it.
+_DIGIT_LOW = math.nextafter(1e-6, 1.0)
+# Each value takes two fields under one of these specs.  Fixed notation: a
+# prefix by code, then the digits.  Exponent notation: a prefix of the sign,
+# the first digit, "." and the zeros that lead the other 16 digits, then those
+# digits; no double in decades -5 and -6 is written with one digit only, so
+# the "." is always there.  Off the path: the value itself, in %.17g, and a
+# field the spec writes nothing of.
+_DIGIT_SPECS = np.array(["%s%d", "%s%de-05", "%s%de-06", "%.17g%.0s"], dtype=object)
+_DIGIT_OFF = len(_DIGIT_SPECS) - 1
+_DIGIT_CODE_SPECS = np.array([0] * 4 + [1, 2, 2, 1] + [0] * 4)  # by code
+# By code, then from 12 on by sign (- first), first digit and leading zeros.
+_DIGIT_PREFIXES = np.array(
+    ["-0.", "-0.0", "-0.00", "-0.000"] + [None] * 4 + ["0.000", "0.00", "0.0", "0."]
+    + [f"{sign}{first}." + "0" * zeros
+       for sign in ("-", "") for first in range(1, 10) for zeros in range(16)],
+    dtype=object,
+)
+_POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
 # Below _DIGIT_MIN_VALUES values the fixed numpy cost of the digit path, about
 # 28 us, outweighs what it saves: it broke even between 110 and 130 uniform
 # values on one core of a 2-vCPU Xeon.
@@ -298,11 +318,11 @@ _DIGIT_MIN_VALUES = 128
 _DIGIT_BLOCK_VALUES = 4096
 
 
-def _digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per value of ``block``, every |value| in [1e-4, 1): its code among
-    ``_DIGIT_EDGES`` and the digits %.17g writes, trailing zeros dropped."""
-    code = np.searchsorted(_DIGIT_EDGES, block, side="right").ravel()
-    magnitude = np.abs(block).ravel()
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per value of ``values``, 1-D with every |value| in [1e-6, 1): its code
+    among ``_DIGIT_EDGES`` and the 17 digits %.17g writes, as one integer."""
+    code = np.searchsorted(_DIGIT_EDGES, values, side="right")
+    magnitude = np.abs(values)
     high = magnitude * _DIGIT_SCALES.take(code)
     # Dekker's two-product, one numpy call per operation so no step is fused:
     # high + low is the product exactly.
@@ -314,52 +334,99 @@ def _digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low += mag_low * scale_low
     digits = high.astype(np.int64)
     digits += np.rint(low).astype(np.int64)
-    # %g drops trailing zeros; few values have any.
-    at = np.flatnonzero(digits % 10 == 0)
-    while at.size:
-        digits[at] //= 10
-        at = at[digits[at] % 10 == 0]
     return code, digits
 
 
-def _digit_rows(block: np.ndarray, template: str) -> list[str]:
-    """The rows of ``block``, every |value| in [1e-4, 1), as ``%.17g`` writes
-    them, from exact integer digits (see :func:`format_matrix`)."""
-    code, digits = _digits(block)
-    fields = [None] * (2 * digits.size)
-    fields[0::2] = _DIGIT_PREFIXES.take(code).tolist()
-    fields[1::2] = digits.tolist()
-    width = 2 * block.shape[1]
-    return [template % tuple(fields[i : i + width]) for i in range(0, len(fields), width)]
+def _digit_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per value of ``values``, 1-D with every |value| in [1e-6, 1): its spec
+    in ``_DIGIT_SPECS``, its prefix in ``_DIGIT_PREFIXES`` and its integer."""
+    code, digits = _digits(values)
+    spec, prefix, number = _DIGIT_CODE_SPECS.take(code), code, digits
+    at = np.flatnonzero(spec)  # exponent notation
+    if at.size:
+        first, rest = np.divmod(digits[at], 10**16)
+        zeros = 16 - np.searchsorted(_POWERS_OF_TEN, rest, side="right")
+        prefix[at] = 12 + 144 * (code[at] >= 6) + 16 * (first - 1) + zeros
+        number[at] = rest
+    # %g drops trailing zeros; few values have any.  No rest is 0 (see
+    # format_matrix), but the loop drops a 0 rather than divide it for ever.
+    at = np.flatnonzero(number % 10 == 0)
+    while at.size:
+        number[at] //= 10
+        kept = number[at]
+        at = at[(kept % 10 == 0) & (kept != 0)]
+    return spec, prefix, number
+
+
+def _fill(on: np.ndarray, values: np.ndarray, other) -> np.ndarray:
+    """An array of the shape of ``on``: ``values`` where it holds, ``other`` elsewhere."""
+    out = np.empty(on.shape, dtype=values.dtype)
+    out[on] = values
+    out[~on] = other
+    return out
+
+
+def _digit_rows(block: np.ndarray, on: np.ndarray | None, template: str) -> list[str]:
+    """The rows of ``block`` as ``%.17g`` writes them, the values where ``on``
+    (|value| in [1e-6, 1); None for all) from exact integer digits (see
+    :func:`format_matrix`); a row of fixed notation only takes ``template``."""
+    spec, prefix, number = _digit_fields(block.ravel() if on is None else block[on])
+    firsts = _DIGIT_PREFIXES.take(prefix)
+    if on is not None:
+        # A value outside the range takes the last spec and is its own prefix.
+        spec, number = _fill(on, spec, _DIGIT_OFF), _fill(on, number, 0)
+        firsts = _fill(on, firsts, block[~on])
+    cols = block.shape[1]
+    fields = [None] * (2 * block.size)
+    fields[0::2] = firsts.ravel().tolist()
+    fields[1::2] = number.ravel().tolist()
+    spec = spec.reshape(-1, cols)
+    fixed = ~spec.any(axis=1)
+    width = 2 * cols
+    if fixed.all():
+        return [template % tuple(fields[i : i + width]) for i in range(0, len(fields), width)]
+    mixed = iter(_DIGIT_SPECS.take(spec[~fixed]).tolist())
+    return [
+        (template if fast else " ".join(next(mixed))) % tuple(fields[i * width : (i + 1) * width])
+        for i, fast in enumerate(fixed.tolist())
+    ]
 
 
 def format_matrix(matrix: np.ndarray) -> str:
     """Render a matrix in the shared text format with full round-trip precision.
 
-    Each value is written as ``'%.17g'`` writes it.  A row whose values all
-    lie in 1e-4 <= |x| < 1 is written from exact integer digits, with the same
-    bytes.  The doubles 1e-4 to 1e-1 each lie just above the power of ten
-    they stand for, so comparing with them settles E = floor(log10 |x|) in
-    [-4, -1] exactly.  10**(16 - E) <= 10**20 is an exact double, and Dekker's
-    two-product gives |x| * 10**(16 - E) = h + l exactly.  h >= 10**16 > 2**53
-    is an even integer, so h + rint(l) is the product rounded half to even,
-    as %.17g rounds it: the 17 digits it writes after "0." and -E - 1 zeros,
-    less trailing zeros.  No double in [1e-4, 1) rounds up to the next decade
-    at 17 digits, so no carry arises.  Every other row, and every row of a
-    matrix of fewer than ``_DIGIT_MIN_VALUES`` (128) values or whose first
-    column holds no such value, is formatted with one ``%.17g`` template per
-    row.  Rows are taken in blocks of at most ``_DIGIT_BLOCK_VALUES`` (4,096)
-    values, which keeps scratch arrays small.
+    Each value is written as ``'%.17g'`` writes it.  A value in 1e-6 <= |x| < 1
+    is written from exact integer digits, with the same bytes.  The doubles
+    1e-5 to 1e-1 each lie just above the power of ten they stand for, so
+    comparing with them settles E = floor(log10 |x|) in [-6, -1] exactly; the
+    double 1e-6 lies below 10**-6, so the range starts at the next double up.
+    10**(16 - E) <= 10**22 is an exact double, and Dekker's two-product gives
+    |x| * 10**(16 - E) = h + l exactly.  h >= 10**16 > 2**53 is an even
+    integer, so h + rint(l) is the product rounded half to even, as %.17g
+    rounds it: 17 digits, less trailing zeros, which %.17g writes after "0."
+    and -E - 1 zeros for E >= -4, and as d.dddd...e-0K for E = -5 and -6.  No
+    double in [1e-6, 1) rounds up to the next decade at 17 digits, so no carry
+    arises, and none in decades -5 and -6 rounds to a single digit, so the
+    "." always stays.
+
+    The path is chosen per value.  A row whose values all lie in 1e-4 <= |x| <
+    1 takes one ``"%s%d"`` template; any other row with a value in the range
+    joins one spec per value, ``'%.17g'`` for the values outside it.  A row
+    with no value in the range, and every row of a matrix of fewer than
+    ``_DIGIT_MIN_VALUES`` (128) values or whose first column holds no value in
+    it, takes one ``'%.17g'`` template per row.  Rows are taken in blocks of
+    at most ``_DIGIT_BLOCK_VALUES`` (4,096) values, which keeps scratch arrays
+    small.
     """
     rows, cols = matrix.shape
     template = " ".join(["%.17g"] * cols)
     lines = [f"{rows} {cols}"]
     digit_path = matrix.size >= _DIGIT_MIN_VALUES
     if digit_path:
-        # The first column rules out a matrix of zeros, integers or small
-        # masses at little cost.
+        # The first column rules out a matrix of zeros, integers or tiny
+        # values at little cost.
         first = np.abs(matrix[:, 0])
-        digit_path = bool(((first >= 1e-4) & (first < 1.0)).any())
+        digit_path = bool(((first >= _DIGIT_LOW) & (first < 1.0)).any())
     if not digit_path:
         lines.extend(template % tuple(row) for row in matrix)
         return "\n".join(lines) + "\n"
@@ -368,15 +435,19 @@ def format_matrix(matrix: np.ndarray) -> str:
     for start in range(0, rows, step):
         block = matrix[start : start + step]
         magnitude = np.abs(block)
-        # min and max are NaN on a row holding a NaN, which then fails both tests.
-        digit = (magnitude.min(axis=1) >= 1e-4) & (magnitude.max(axis=1) < 1.0)
-        if not digit.any():
+        # A NaN fails both tests.
+        on = (magnitude >= _DIGIT_LOW) & (magnitude < 1.0)
+        if on.all():
+            lines.extend(_digit_rows(block, None, digit_template))
+            continue
+        some = on.any(axis=1)
+        if not some.any():
             lines.extend(template % tuple(row) for row in block)
             continue
-        done = iter(_digit_rows(block[digit], digit_template))
+        done = iter(_digit_rows(block[some], on[some], digit_template))
         lines.extend(
             next(done) if fast else template % tuple(row)
-            for fast, row in zip(digit.tolist(), block)
+            for fast, row in zip(some.tolist(), block)
         )
     return "\n".join(lines) + "\n"
 
@@ -398,16 +469,19 @@ def format_game(game: Game) -> str:
 def load_file(path, parse):
     """Read a UTF-8 file and ``parse`` its text; a FormatError names the file.
 
-    Bytes that are not UTF-8 are a FormatError on the line that holds them.
+    A leading byte-order mark is skipped.  Bytes that are not UTF-8 are a
+    FormatError on the line that holds them, at their offset in the file.
     """
     data = Path(path).read_bytes()
     try:
-        return parse(data.decode("utf-8"))
+        return parse(data.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
+        # The codec reports offsets past a byte-order mark it skipped.
+        start = exc.start + len(data) - len(exc.object)
         # Lines are numbered as the parser numbers them (any line break counts);
         # the bytes before the bad one decode, and "x" stands in for it.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        error = FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", line)
+        line = len((data[:start].decode("utf-8-sig") + "x").splitlines())
+        error = FormatError(f"not UTF-8: {exc.reason} at byte {start}", line)
     except FormatError as exc:
         error = exc
     error.args = (f"{path}: {error}",)

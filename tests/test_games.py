@@ -23,11 +23,13 @@ from cce2nash import (
     expected_joint_utility,
     format_game,
     load_game,
+    load_joint,
     make_zero_sum,
     nash_gap,
     parse_game,
     parse_joint,
     save_game,
+    save_joint,
 )
 from cce2nash.equilibrium import bound_slack
 from cce2nash.games import format_matrix, parse_matrix, write_files_atomic, write_text_atomic
@@ -497,8 +499,8 @@ def test_write_files_atomic_names_the_target_when_a_rename_fails(tmp_path, monke
 
 
 # --- codec equivalence with the per-value reference codec ---------------------
-# The writer formats one template per row, rows of values in [1e-4, 1) from
-# exact integer digits, and the reader parses the data lines with numpy.  These
+# The writer formats one template per row, values in [1e-6, 1) from exact
+# integer digits, and the reader parses the data lines with numpy.  These
 # references are the per-value writer and the per-line reader they replaced; the
 # codec must agree with them byte for byte and bit for bit.
 
@@ -615,32 +617,34 @@ def _neighbours(x, steps):
     return out
 
 
-# Each power of ten from 1 to 1e-5, as the double nearest it, with six float
+# Each power of ten from 1 to 1e-6, as the double nearest it, with six float
 # neighbours either side (the largest below each is the double nearest to
-# rounding up a decade); exact 17-digit ties, j * 2**-(17 - E) with j odd in
-# decade E, which %.17g rounds half to even; and what sends a row off the digit
-# path: 0, -0.0, 1, 1e-5 and subnormals.
+# rounding up a decade; the double 1e-6 itself lies below 10**-6); exact
+# 17-digit ties, j * 2**-(17 - E) with j odd in decade E, which %.17g rounds
+# half to even; and what sends a value off the digit path: 0, -0.0, 1, 1e-6
+# and subnormals.
 DECADE_NEIGHBOURS = np.array(
-    [x for k in range(6) for x in _neighbours(float(f"1e-{k}"), 6)]
+    [x for k in range(7) for x in _neighbours(float(f"1e-{k}"), 6)]
 )
+DIGIT_DECADES = (-6, -5, -4, -3, -2, -1)
 DIGIT_TIES = np.array([
     math.ldexp(j, exponent - 17)
-    for exponent in (-4, -3, -2, -1)
+    for exponent in DIGIT_DECADES
     for j in range(math.ceil(10.0**exponent * 2 ** (17 - exponent)) | 1,
                    int(10.0 ** (exponent + 1) * 2 ** (17 - exponent)), 14)
 ])
-OFF_DIGIT_PATH = np.array([0.0, -0.0, 1.0, -1.0, 1e-5, -1e-5, 5e-324, 2.2250738585072009e-308,
+OFF_DIGIT_PATH = np.array([0.0, -0.0, 1.0, -1.0, 1e-6, -1e-6, 5e-324, 2.2250738585072009e-308,
                            -1e-310])
 
 
 @st.composite
 def digit_matrices(draw):
-    """Up to 6 by 200 values, mostly in +-[1e-4, 1): log-uniform, decade
+    """Up to 6 by 200 values, mostly in +-[1e-7, 1): log-uniform, decade
     neighbours and ties in drawn shares, with a drawn share of off-path values."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = rows * cols
-    values = 10.0 ** rng.uniform(-4.0, 0.0, size)
+    values = 10.0 ** rng.uniform(-7.0, 0.0, size)
     for pool, share in ((DECADE_NEIGHBOURS, draw(st.sampled_from([0.0, 0.1, 0.5]))),
                         (DIGIT_TIES, draw(st.sampled_from([0.0, 0.1, 0.5]))),
                         (OFF_DIGIT_PATH, draw(st.sampled_from([0.0, 0.0, 0.002, 0.05])))):
@@ -662,18 +666,86 @@ def test_format_matrix_writes_digit_rows_as_the_per_value_writer(matrix):
 
 def test_digit_ties_lie_halfway_between_two_17_digit_decimals():
     for x in DIGIT_TIES.tolist():
-        decade = next(e for e in (-1, -2, -3, -4) if Fraction(x) >= Fraction(10) ** e)
+        decade = next(e for e in DIGIT_DECADES[::-1] if Fraction(x) >= Fraction(10) ** e)
         assert Fraction(x) < Fraction(10) ** (decade + 1)
         assert (Fraction(x) * 10 ** (16 - decade)).denominator == 2
 
 
-@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("k", range(6))
 def test_no_double_below_a_power_of_ten_rounds_up_to_it_at_17_digits(k):
-    # So no digit row needs a carry into the next decade: the largest double
+    # So no digit value needs a carry into the next decade: the largest double
     # below 10**-k keeps 17 digits below it, and so does every smaller one.
     below = math.nextafter(float(f"1e-{k}"), 0.0)
     assert below < Fraction(1, 10**k)
     assert Fraction("%.17g" % below) < Fraction(1, 10**k)
+
+
+@pytest.mark.parametrize("exponent", [-5, -6])
+def test_no_double_in_the_exponent_decades_is_written_with_one_digit(exponent):
+    # So every digit value there is written "d.ddd...e-0K".  It would need to
+    # lie within half a 17-digit unit of some d * 10**E; every double but the
+    # nearest and its neighbours lies more than an ulp, so further, away.
+    half_unit = Fraction(10) ** (exponent - 16) / 2
+    for d in range(1, 10):
+        power = d * Fraction(10) ** exponent
+        nearest = float(f"{d}e{exponent}")
+        assert math.ulp(math.nextafter(nearest, 0.0)) > half_unit
+        for x in _neighbours(nearest, 1):
+            if Fraction(x) >= Fraction(10) ** exponent:  # 1e-6 itself lies below
+                assert abs(Fraction(x) - power) > half_unit
+                assert "." in "%.17g" % x
+
+
+def test_the_double_1e_6_lies_below_the_digit_range_and_keeps_the_17g_spec():
+    # Its decade is -7, so the digit path, whose lowest decade is -6, starts
+    # at the next double up; written as decade -6 it would lose its digits.
+    above = math.nextafter(1e-6, 1.0)
+    assert Fraction(float("1e-6")) < Fraction(1, 10**6) < Fraction(above)
+    row = [0.5, 1e-6, -1e-6, above, -above, 2e-6] * 40
+    matrix = np.array([row, row[::-1]])
+    text = format_matrix(matrix)
+    assert text == reference_format_matrix(matrix)
+    assert text.split()[3:5] == ["9.9999999999999995e-07", "-9.9999999999999995e-07"]
+    assert text.split()[5] == "%.17g" % above == "1.0000000000000002e-06"
+
+
+def first_difference(text, expected):
+    """The first line at which two texts differ, as (index, line, expected
+    line), or None; a failure shows one line, not a diff of whole files."""
+    lines, wanted = text.split("\n"), expected.split("\n")
+    for i, (line, want) in enumerate(zip(lines, wanted)):
+        if line != want:
+            return i, line, want
+    return None if len(lines) == len(wanted) else (min(len(lines), len(wanted)), "", "")
+
+
+def _joint_masses(kind, rng, n=200):
+    """A joint of each kind the benchmark's check workload writes."""
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(n * n)).reshape(n, n)
+    if kind == "product":
+        return np.outer(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+    mass = np.zeros(n * n)
+    cells = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
+    mass[cells] = rng.dirichlet(np.ones(cells.size))
+    return mass.reshape(n, n)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "product", "sparse"])
+@pytest.mark.parametrize("seed", range(3))
+def test_200_by_200_joints_are_written_as_the_per_value_writer(tmp_path, kind, seed):
+    mass = _joint_masses(kind, np.random.default_rng(seed))
+    assert first_difference(format_matrix(mass), reference_format_matrix(mass)) is None
+    path = tmp_path / "joint.txt"
+    save_joint(JointDistribution(mass), path)
+    assert load_joint(path).mass.tobytes() == mass.tobytes()
+    # Rows that mix in-range masses with values off the digit path.
+    mixed = mass.copy()
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 2.5, -1.0, 1e300, 1e-6]
+    for r in range(0, 200, 7):
+        mixed[r, np.arange(r, r + len(odd)) % 200] = odd
+    mixed[1, 0] = 1e-5  # decade -5 in the first column keeps the digit path on
+    assert first_difference(format_matrix(mixed), reference_format_matrix(mixed)) is None
 
 
 # Spellings only float() reads (`1_0`, non-ASCII digits), Unicode separators, a
@@ -734,6 +806,26 @@ def test_load_game_errors_name_the_file_and_keep_the_line(tmp_path):
         load_game(path)
     assert str(exc.value) == f"{path}: line 2: invalid decimal value"
     assert exc.value.line == 2
+
+
+def test_load_game_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 2\n1 -1\n-1 1\n")
+    assert load_game(path) == PENNIES
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_game_counts_a_byte_order_mark_in_the_offset_of_bytes_that_are_not_utf8(
+    tmp_path, newline
+):
+    path = tmp_path / "g.txt"
+    data = newline.join([b"\xef\xbb\xbf2 2", b"1 -1", b"-1 \xe9", b""])
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        load_game(path)
+    at = data.index(b"\xe9")
+    assert str(exc.value) == f"{path}: line 3: not UTF-8: invalid continuation byte at byte {at}"
+    assert exc.value.line == 3
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
