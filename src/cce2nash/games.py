@@ -294,22 +294,24 @@ _DIGIT_SCALE_HIGH, _DIGIT_SCALE_LOW = _split(_DIGIT_SCALES)
 # The double 1e-6 lies below 10**-6 (%.17g writes 9.9999999999999995e-07);
 # the next double up is the smallest at or above it.
 _DIGIT_LOW = math.nextafter(1e-6, 1.0)
-# Each value takes two fields under one of these specs.  Fixed notation: a
-# prefix by code, then the digits.  Exponent notation: a prefix of the sign,
-# the first digit, "." and the zeros that lead the other 16 digits, then those
-# digits; no double in decades -5 and -6 is written with one digit only, so
-# the "." is always there.  Off the path: the value itself, in %.17g, and a
-# field the spec writes nothing of.
-_DIGIT_SPECS = np.array(["%s%d", "%s%de-05", "%s%de-06", "%.17g%.0s"], dtype=object)
-_DIGIT_OFF = len(_DIGIT_SPECS) - 1
-_DIGIT_CODE_SPECS = np.array([0] * 4 + [1, 2, 2, 1] + [0] * 4)  # by code
-# By code, then from 12 on by sign (- first), first digit and leading zeros.
-_DIGIT_PREFIXES = np.array(
-    ["-0.", "-0.0", "-0.00", "-0.000"] + [None] * 4 + ["0.000", "0.00", "0.0", "0."]
-    + [f"{sign}{first}." + "0" * zeros
-       for sign in ("-", "") for first in range(1, 10) for zeros in range(16)],
+# Each value in the range is written as one piece of its block's format: what
+# %.17g writes before the digits, "%d" for them, any exponent, then " " or,
+# in the last column, "\n".  Fixed notation, by code (decades -1 to -4): the
+# sign, "0." and -E - 1 zeros.  Exponent notation, at 12 + 144 * (code - 4) +
+# 16 * (first - 1) + zeros for codes 4 to 7: the sign, the first digit, "."
+# and the zeros that lead the other 16 digits, then after the digits "e-05"
+# or "e-06".  No double in decades -5 and -6 is written with one digit only,
+# so the "." is always there.  Codes 4 to 7 have no piece of their own.  Each
+# piece comes twice, with " " and then with "\n".
+_DIGIT_PIECES = np.array(
+    [[piece + sep for sep in (" ", "\n")]
+     for piece in ["-0." + "0" * zeros + "%d" for zeros in range(4)] + [""] * 4
+     + ["0." + "0" * zeros + "%d" for zeros in range(3, -1, -1)]
+     + [f"{sign}{first}.{'0' * zeros}%de-0{k}"
+        for sign, k in (("-", 5), ("-", 6), ("", 6), ("", 5))
+        for first in range(1, 10) for zeros in range(16)]],
     dtype=object,
-)
+).ravel()
 _POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
 # Below _DIGIT_MIN_VALUES values the fixed numpy cost of the digit path, about
 # 28 us, outweighs what it saves: it broke even between 110 and 130 uniform
@@ -337,16 +339,16 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return code, digits
 
 
-def _digit_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per value of ``values``, 1-D with every |value| in [1e-6, 1): its spec
-    in ``_DIGIT_SPECS``, its prefix in ``_DIGIT_PREFIXES`` and its integer."""
-    code, digits = _digits(values)
-    spec, prefix, number = _DIGIT_CODE_SPECS.take(code), code, digits
-    at = np.flatnonzero(spec)  # exponent notation
+def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per value of ``values``, 1-D with every |value| in [1e-6, 1), and true
+    in ``last`` for a value in the last column: its piece of
+    ``_DIGIT_PIECES`` and the integer the piece's ``%d`` writes."""
+    index, number = _digits(values)  # a code of fixed notation is its piece
+    at = np.flatnonzero((index >= 4) & (index < 8))  # exponent notation
     if at.size:
-        first, rest = np.divmod(digits[at], 10**16)
+        first, rest = np.divmod(number[at], 10**16)
         zeros = 16 - np.searchsorted(_POWERS_OF_TEN, rest, side="right")
-        prefix[at] = 12 + 144 * (code[at] >= 6) + 16 * (first - 1) + zeros
+        index[at] = 12 + 144 * (index[at] - 4) + 16 * (first - 1) + zeros
         number[at] = rest
     # %g drops trailing zeros; few values have any.  No rest is 0 (see
     # format_matrix), but the loop drops a 0 rather than divide it for ever.
@@ -355,41 +357,48 @@ def _digit_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         number[at] //= 10
         kept = number[at]
         at = at[(kept % 10 == 0) & (kept != 0)]
-    return spec, prefix, number
+    index *= 2
+    index += last
+    return _DIGIT_PIECES.take(index), number
 
 
-def _fill(on: np.ndarray, values: np.ndarray, other) -> np.ndarray:
-    """An array of the shape of ``on``: ``values`` where it holds, ``other`` elsewhere."""
-    out = np.empty(on.shape, dtype=values.dtype)
-    out[on] = values
-    out[~on] = other
-    return out
-
-
-def _digit_rows(block: np.ndarray, on: np.ndarray | None, template: str) -> list[str]:
-    """The rows of ``block`` as ``%.17g`` writes them, the values where ``on``
-    (|value| in [1e-6, 1); None for all) from exact integer digits (see
-    :func:`format_matrix`); a row of fixed notation only takes ``template``."""
-    spec, prefix, number = _digit_fields(block.ravel() if on is None else block[on])
-    firsts = _DIGIT_PREFIXES.take(prefix)
-    if on is not None:
-        # A value outside the range takes the last spec and is its own prefix.
-        spec, number = _fill(on, spec, _DIGIT_OFF), _fill(on, number, 0)
-        firsts = _fill(on, firsts, block[~on])
-    cols = block.shape[1]
-    fields = [None] * (2 * block.size)
-    fields[0::2] = firsts.ravel().tolist()
-    fields[1::2] = number.ravel().tolist()
-    spec = spec.reshape(-1, cols)
-    fixed = ~spec.any(axis=1)
-    width = 2 * cols
-    if fixed.all():
-        return [template % tuple(fields[i : i + width]) for i in range(0, len(fields), width)]
-    mixed = iter(_DIGIT_SPECS.take(spec[~fixed]).tolist())
-    return [
-        (template if fast else " ".join(next(mixed))) % tuple(fields[i * width : (i + 1) * width])
-        for i, fast in enumerate(fixed.tolist())
-    ]
+def _block_text(block: np.ndarray, line: str, digit_path: bool) -> str:
+    """The rows of ``block`` as ``%.17g`` writes them, by one ``%``; ``line``
+    is the '%.17g' template of one row.  With ``digit_path``, each value in
+    [1e-6, 1) is written from exact integer digits (see :func:`format_matrix`)."""
+    rows, cols = block.shape
+    if digit_path:
+        magnitude = np.abs(block)
+        on = (magnitude >= _DIGIT_LOW) & (magnitude < 1.0)  # a NaN fails both
+        if on.all():
+            last = np.zeros(block.size, dtype=bool)
+            last[cols - 1 :: cols] = True
+            pieces, number = _digit_pieces(block.ravel(), last)
+            return "".join(pieces.tolist()) % tuple(number.tolist())
+        some = on.any(axis=1)
+        digit_path = some.any()
+    if not digit_path:
+        return (line * rows) % tuple(block.ravel().tolist())
+    mixed, on = block[some], on[some]
+    pieces = np.empty(on.shape, dtype=object)
+    pieces[on], number = _digit_pieces(mixed[on], on.nonzero()[1] == cols - 1)
+    # A value outside the range is its own '%.17g' text, which holds no "%".
+    off = ~on
+    pieces[off] = [("%.17g\n" if end else "%.17g ") % value
+                   for end, value in zip((off.nonzero()[1] == cols - 1).tolist(),
+                                         mixed[off].tolist())]
+    if some.all():
+        text = pieces.ravel().tolist()
+    else:
+        # So is a row with no value in the range.
+        done, others = iter(pieces.tolist()), iter(block[~some].tolist())
+        text = []
+        for has in some.tolist():
+            if has:
+                text += next(done)
+            else:
+                text.append(line % tuple(next(others)))
+    return "".join(text) % tuple(number.tolist())
 
 
 def format_matrix(matrix: np.ndarray) -> str:
@@ -409,47 +418,30 @@ def format_matrix(matrix: np.ndarray) -> str:
     arises, and none in decades -5 and -6 rounds to a single digit, so the
     "." always stays.
 
-    The path is chosen per value.  A row whose values all lie in 1e-4 <= |x| <
-    1 takes one ``"%s%d"`` template; any other row with a value in the range
-    joins one spec per value, ``'%.17g'`` for the values outside it.  A row
-    with no value in the range, and every row of a matrix of fewer than
-    ``_DIGIT_MIN_VALUES`` (128) values or whose first column holds no value in
-    it, takes one ``'%.17g'`` template per row.  Rows are taken in blocks of
-    at most ``_DIGIT_BLOCK_VALUES`` (4,096) values, which keeps scratch arrays
-    small.
+    The text is the header and the blocks, joined once.  Rows are taken in
+    blocks of at most ``_DIGIT_BLOCK_VALUES`` (4,096) values, and each block
+    is written by one ``%``.  Each value in the range is one piece of the
+    block's format: what ``%.17g`` writes before its digits, ``%d`` for them,
+    any exponent, and the " " or "\n" after it.  In a row that holds such a
+    value, each other value is put in as its own ``'%.17g'`` text; a row that
+    holds none is put in as the text of the ``'%.17g'`` row template.  Those
+    texts are made of digits, signs, ".", "e", "inf" and "nan", never a "%",
+    so the block's ``%`` leaves them as they are.  A matrix of fewer than
+    ``_DIGIT_MIN_VALUES`` (128) values, or whose first column holds no value
+    in the range, has no pieces: each block repeats the row template once
+    per row.
     """
     rows, cols = matrix.shape
-    template = " ".join(["%.17g"] * cols)
-    lines = [f"{rows} {cols}"]
+    line = " ".join(["%.17g"] * cols) + "\n"
     digit_path = matrix.size >= _DIGIT_MIN_VALUES
     if digit_path:
         # The first column rules out a matrix of zeros, integers or tiny
         # values at little cost.
         first = np.abs(matrix[:, 0])
         digit_path = bool(((first >= _DIGIT_LOW) & (first < 1.0)).any())
-    if not digit_path:
-        lines.extend(template % tuple(row) for row in matrix)
-        return "\n".join(lines) + "\n"
-    digit_template = " ".join(["%s%d"] * cols)
-    step = max(1, _DIGIT_BLOCK_VALUES // cols)
-    for start in range(0, rows, step):
-        block = matrix[start : start + step]
-        magnitude = np.abs(block)
-        # A NaN fails both tests.
-        on = (magnitude >= _DIGIT_LOW) & (magnitude < 1.0)
-        if on.all():
-            lines.extend(_digit_rows(block, None, digit_template))
-            continue
-        some = on.any(axis=1)
-        if not some.any():
-            lines.extend(template % tuple(row) for row in block)
-            continue
-        done = iter(_digit_rows(block[some], on[some], digit_template))
-        lines.extend(
-            next(done) if fast else template % tuple(row)
-            for fast, row in zip(some.tolist(), block)
-        )
-    return "\n".join(lines) + "\n"
+    step = max(1, _DIGIT_BLOCK_VALUES // max(cols, 1))
+    blocks = (matrix[start : start + step] for start in range(0, rows, step))
+    return "".join([f"{rows} {cols}\n", *(_block_text(b, line, digit_path) for b in blocks)])
 
 
 def parse_game(text: str) -> Game:

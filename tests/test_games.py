@@ -499,8 +499,8 @@ def test_write_files_atomic_names_the_target_when_a_rename_fails(tmp_path, monke
 
 
 # --- codec equivalence with the per-value reference codec ---------------------
-# The writer formats one template per row, values in [1e-6, 1) from exact
-# integer digits, and the reader parses the data lines with numpy.  These
+# The writer fills each block of rows by one '%', values in [1e-6, 1) from
+# exact integer digits, and the reader parses the data lines with numpy.  These
 # references are the per-value writer and the per-line reader they replaced; the
 # codec must agree with them byte for byte and bit for bit.
 
@@ -746,6 +746,43 @@ def test_200_by_200_joints_are_written_as_the_per_value_writer(tmp_path, kind, s
         mixed[r, np.arange(r, r + len(odd)) % 200] = odd
     mixed[1, 0] = 1e-5  # decade -5 in the first column keeps the digit path on
     assert first_difference(format_matrix(mixed), reference_format_matrix(mixed)) is None
+
+
+def block_edge_matrix(case):
+    """A matrix at an edge of format_matrix's blocks of at most 4,096 values,
+    each written by one '%'; its first column passes the digit path's screen."""
+    rng = np.random.default_rng(25)
+    shapes = {"column 128": (128, 1), "column 4097": (4097, 1), "21x200": (21, 200),
+              "2x5000": (2, 5000), "1x4097": (1, 4097)}
+    if case in shapes:
+        return rng.uniform(-1.0, 1.0, shapes[case])
+    if case == "zero rows":
+        mass = rng.dirichlet(np.ones(200 * 200)).reshape(200, 200)
+        mass[1::2] = 0.0
+        return mass / mass.sum()
+    # Rows that mix values in the range with every kind of value outside it,
+    # in the last column too, and a row that holds no value in the range.
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1.0, 5e-324, 3e-7]
+    matrix = rng.uniform(-1.0, 1.0, (30, 40))
+    for r in range(0, 30, 3):
+        matrix[r, (np.arange(len(odd)) * 6 + 5 * r + 3) % 40] = odd
+    matrix[4] = np.resize(odd, 40)
+    matrix[5, -1], matrix[6, -1] = math.nan, 5e-324
+    return matrix
+
+
+# One column: every piece ends in "\n", and 4,097 rows span two blocks.  21 rows
+# of 200 end in a block of one row; a row wider than a block is a block.  Odd
+# rows of zeros hold no value in the range, though the first column does.
+@pytest.mark.parametrize("case", ["column 128", "column 4097", "21x200", "2x5000", "1x4097",
+                                  "zero rows", "mixed"])
+def test_format_matrix_at_the_block_edges_writes_as_the_per_value_writer(case):
+    matrix = block_edge_matrix(case)
+    text = format_matrix(matrix)
+    assert first_difference(text, reference_format_matrix(matrix)) is None
+    assert format_matrix(np.asfortranarray(matrix)) == text
+    if np.isfinite(matrix).all():
+        assert parse_matrix(text).tobytes() == matrix.tobytes()
 
 
 # Spellings only float() reads (`1_0`, non-ASCII digits), Unicode separators, a
