@@ -312,10 +312,13 @@ _DIGIT_PIECES = np.array(
         for first in range(1, 10) for zeros in range(16)]],
     dtype=object,
 ).ravel()
+# What %.17g writes for 0.0 and -0.0, by sign, each with " " and then "\n".
+_ZERO_PIECES = np.array(["0 ", "0\n", "-0 ", "-0\n"], dtype=object)
 _POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
-# Below _DIGIT_MIN_VALUES values the fixed numpy cost of the digit path, about
-# 28 us, outweighs what it saves: it broke even between 110 and 130 uniform
-# values on one core of a 2-vCPU Xeon.
+# Below _DIGIT_MIN_VALUES values in a block, or in the range, the fixed numpy
+# cost of the digit pieces, about 28 us, outweighs what they save: on one core
+# of a 2-vCPU Xeon they broke even at 96 to 112 uniform values, 144 to 176
+# Dirichlet masses and 176 to 208 masses in a block with zeros.
 _DIGIT_MIN_VALUES = 128
 _DIGIT_BLOCK_VALUES = 4096
 
@@ -362,43 +365,41 @@ def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.
     return _DIGIT_PIECES.take(index), number
 
 
-def _block_text(block: np.ndarray, line: str, digit_path: bool) -> str:
+def _block_text(block: np.ndarray, line: str) -> str:
     """The rows of ``block`` as ``%.17g`` writes them, by one ``%``; ``line``
-    is the '%.17g' template of one row.  With ``digit_path``, each value in
-    [1e-6, 1) is written from exact integer digits (see :func:`format_matrix`)."""
+    is the '%.17g' template of one row (see :func:`format_matrix`)."""
     rows, cols = block.shape
-    if digit_path:
+    count = zeros = 0
+    if block.size >= _DIGIT_MIN_VALUES:
         magnitude = np.abs(block)
-        on = (magnitude >= _DIGIT_LOW) & (magnitude < 1.0)  # a NaN fails both
-        if on.all():
-            last = np.zeros(block.size, dtype=bool)
-            last[cols - 1 :: cols] = True
-            pieces, number = _digit_pieces(block.ravel(), last)
-            return "".join(pieces.tolist()) % tuple(number.tolist())
-        some = on.any(axis=1)
-        digit_path = some.any()
-    if not digit_path:
+        below = magnitude < 1.0  # as zeros and values in the range are; a NaN is not
+        if 2 * np.count_nonzero(below) > block.size:
+            on = below & (magnitude >= _DIGIT_LOW)
+            count = np.count_nonzero(on)
+            zeros = block.size - np.count_nonzero(block)
+    # A piece costs less than a field of the row template and a '%.17g' text of
+    # its own more, so pieces pay when most values are zeros or in the range.
+    if 2 * (count + zeros) <= block.size:
         return (line * rows) % tuple(block.ravel().tolist())
-    mixed, on = block[some], on[some]
-    pieces = np.empty(on.shape, dtype=object)
-    pieces[on], number = _digit_pieces(mixed[on], on.nonzero()[1] == cols - 1)
-    # A value outside the range is its own '%.17g' text, which holds no "%".
-    off = ~on
-    pieces[off] = [("%.17g\n" if end else "%.17g ") % value
-                   for end, value in zip((off.nonzero()[1] == cols - 1).tolist(),
-                                         mixed[off].tolist())]
-    if some.all():
-        text = pieces.ravel().tolist()
-    else:
-        # So is a row with no value in the range.
-        done, others = iter(pieces.tolist()), iter(block[~some].tolist())
-        text = []
-        for has in some.tolist():
-            if has:
-                text += next(done)
-            else:
-                text.append(line % tuple(next(others)))
-    return "".join(text) % tuple(number.tolist())
+    if count == block.size:
+        last = np.zeros(block.size, dtype=bool)
+        last[cols - 1 :: cols] = True
+        pieces, number = _digit_pieces(block.ravel(), last)
+        return "".join(pieces.tolist()) % tuple(number.tolist())
+    last = np.zeros(block.shape, dtype=bool)
+    last[:, -1] = True
+    # Every value starts as the piece of a zero of its sign; the others are
+    # put in over it.
+    pieces = _ZERO_PIECES.take(2 * np.signbit(block) + last)
+    text = block != 0.0  # a NaN too
+    number = np.zeros(0, dtype=np.int64)
+    if count >= _DIGIT_MIN_VALUES:
+        pieces[on], number = _digit_pieces(block[on], last[on])
+        text &= ~on
+    # Any other value is its own '%.17g' text, which holds no "%".
+    pieces[text] = [("%.17g\n" if end else "%.17g ") % value
+                    for end, value in zip(last[text].tolist(), block[text].tolist())]
+    return "".join(pieces.ravel().tolist()) % tuple(number.tolist())
 
 
 def format_matrix(matrix: np.ndarray) -> str:
@@ -420,28 +421,23 @@ def format_matrix(matrix: np.ndarray) -> str:
 
     The text is the header and the blocks, joined once.  Rows are taken in
     blocks of at most ``_DIGIT_BLOCK_VALUES`` (4,096) values, and each block
-    is written by one ``%``.  Each value in the range is one piece of the
-    block's format: what ``%.17g`` writes before its digits, ``%d`` for them,
-    any exponent, and the " " or "\n" after it.  In a row that holds such a
-    value, each other value is put in as its own ``'%.17g'`` text; a row that
-    holds none is put in as the text of the ``'%.17g'`` row template.  Those
-    texts are made of digits, signs, ".", "e", "inf" and "nan", never a "%",
-    so the block's ``%`` leaves them as they are.  A matrix of fewer than
-    ``_DIGIT_MIN_VALUES`` (128) values, or whose first column holds no value
-    in the range, has no pieces: each block repeats the row template once
-    per row.
+    is written by one ``%``.  A block of at least ``_DIGIT_MIN_VALUES`` (128)
+    values, most of them zeros or in the range, has one layout: each value is
+    one piece of the block's format, ending in the " " or "\n" after it.  A
+    value in the range is what ``%.17g`` writes before its digits, ``%d`` for
+    them and any exponent, when the block holds at least
+    ``_DIGIT_MIN_VALUES`` of them; a ``0.0`` or ``-0.0`` is ``0`` or ``-0``;
+    any other value, a value in the range of a block with fewer included, is
+    its own ``'%.17g'`` text.  Only a digit piece holds a ``%``: the other
+    pieces are made of digits, signs, ".", "e", "inf" and "nan", so the
+    block's ``%`` leaves them as they are.  Any other block repeats the row
+    template once per row.
     """
     rows, cols = matrix.shape
     line = " ".join(["%.17g"] * cols) + "\n"
-    digit_path = matrix.size >= _DIGIT_MIN_VALUES
-    if digit_path:
-        # The first column rules out a matrix of zeros, integers or tiny
-        # values at little cost.
-        first = np.abs(matrix[:, 0])
-        digit_path = bool(((first >= _DIGIT_LOW) & (first < 1.0)).any())
     step = max(1, _DIGIT_BLOCK_VALUES // max(cols, 1))
     blocks = (matrix[start : start + step] for start in range(0, rows, step))
-    return "".join([f"{rows} {cols}\n", *(_block_text(b, line, digit_path) for b in blocks)])
+    return "".join([f"{rows} {cols}\n", *(_block_text(b, line) for b in blocks)])
 
 
 def parse_game(text: str) -> Game:

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import math
 import os
 import re
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cce2nash import (
@@ -31,6 +33,7 @@ from cce2nash import (
     save_game,
     save_joint,
 )
+from cce2nash.cli import main
 from cce2nash.equilibrium import bound_slack
 from cce2nash.games import format_matrix, parse_matrix, write_files_atomic, write_text_atomic
 from helpers import (
@@ -744,13 +747,13 @@ def test_200_by_200_joints_are_written_as_the_per_value_writer(tmp_path, kind, s
     odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 2.5, -1.0, 1e300, 1e-6]
     for r in range(0, 200, 7):
         mixed[r, np.arange(r, r + len(odd)) % 200] = odd
-    mixed[1, 0] = 1e-5  # decade -5 in the first column keeps the digit path on
+    mixed[1, 0] = 1e-5  # decade -5, written d.ddd...e-05, in the first column
     assert first_difference(format_matrix(mixed), reference_format_matrix(mixed)) is None
 
 
 def block_edge_matrix(case):
     """A matrix at an edge of format_matrix's blocks of at most 4,096 values,
-    each written by one '%'; its first column passes the digit path's screen."""
+    each written by one '%', or of the pieces that make up a block."""
     rng = np.random.default_rng(25)
     shapes = {"column 128": (128, 1), "column 4097": (4097, 1), "21x200": (21, 200),
               "2x5000": (2, 5000), "1x4097": (1, 4097)}
@@ -760,6 +763,23 @@ def block_edge_matrix(case):
         mass = rng.dirichlet(np.ones(200 * 200)).reshape(200, 200)
         mass[1::2] = 0.0
         return mass / mass.sum()
+    if case == "zero first column":
+        mass = rng.dirichlet(np.ones(200 * 200)).reshape(200, 200)
+        mass[:, 0] = 0.0
+        return mass / mass.sum()
+    if case == "signed zeros":
+        matrix = rng.uniform(-1.0, 1.0, (30, 40))
+        matrix[::2, 17], matrix[1::2, 17] = 0.0, -0.0
+        matrix[::3, -1], matrix[1::3, -1] = -0.0, 0.0
+        return matrix
+    if case == "no value in range":
+        return rng.integers(-1, 2, (200, 200)).astype(float)
+    if case == "few in range":
+        matrix = np.zeros((200, 200))
+        matrix[::3] = -0.0
+        matrix[3, [0, 50, 199]] = 0.25, -3e-6, 7e-5
+        matrix[5, -1], matrix[6, -1], matrix[7, 9] = 1.0, 5e-324, math.nan
+        return matrix
     # Rows that mix values in the range with every kind of value outside it,
     # in the last column too, and a row that holds no value in the range.
     odd = [math.nan, math.inf, -math.inf, -0.0, 1.0, 5e-324, 3e-7]
@@ -773,9 +793,13 @@ def block_edge_matrix(case):
 
 # One column: every piece ends in "\n", and 4,097 rows span two blocks.  21 rows
 # of 200 end in a block of one row; a row wider than a block is a block.  Odd
-# rows of zeros hold no value in the range, though the first column does.
+# rows of zeros, a zero first column and 0.0 and -0.0 mid-row and in the last
+# column are zero pieces of blocks that hold values in the range; a matrix of
+# -1, 0 and 1 holds none, so each of its blocks repeats the row template.  A
+# few values in the range among zeros, too few for digits, are '%.17g' texts.
 @pytest.mark.parametrize("case", ["column 128", "column 4097", "21x200", "2x5000", "1x4097",
-                                  "zero rows", "mixed"])
+                                  "zero rows", "zero first column", "signed zeros",
+                                  "no value in range", "few in range", "mixed"])
 def test_format_matrix_at_the_block_edges_writes_as_the_per_value_writer(case):
     matrix = block_edge_matrix(case)
     text = format_matrix(matrix)
@@ -834,6 +858,74 @@ def test_parse_matrix_matches_the_per_line_reader(text):
     else:
         out = parse_matrix(text)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
+# Small game and joint files of one shape each, mutated byte-wise by what the
+# format treats specially: digits, signs, "e", "#", "inf", "nan", "_", NUL,
+# "\x1c", U+0085 and U+2028 (the last three are line breaks to splitlines), and
+# bytes that are not UTF-8 (0x85, 0xe9 and 0xff alone, 0xc3 cut short).
+FUZZ_FILES = {
+    2: (b"2 2\n1 -1\n-1 1\n", b"# diagonal\n2 2\n0.5 0\n0 0.5\n"),
+    3: (b"3 3\n0.5 -0.25 1e-3\n-1 0 2.5e+2\n+.5 1. -0\n",
+        b"3 3\n0.25 0 0\n0 0.25 0\n0 0.25 0.25\n"),
+}
+FUZZ_BYTES = [bytes([b]) for b in b"0123456789+-.eE#_ \t\n\r\0\x1c"] + [
+    b"inf", b"nan", "\x85".encode(), "\u2028".encode(), b"\x85", b"\xe9", b"\xff", b"\xc3",
+]
+
+
+@st.composite
+def mutated_file(draw, data):
+    """``data`` with up to four bytes substituted, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 4))):
+        at, token = draw(st.integers(0, len(data))), draw(st.sampled_from(FUZZ_BYTES))
+        op = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        data[at : at + (op != "insert")] = b"" if op == "delete" else token
+    return bytes(data)
+
+
+@st.composite
+def mutated_pair(draw):
+    """A game file and a joint file of one shape, one of them mutated."""
+    game, joint = FUZZ_FILES[draw(st.sampled_from(sorted(FUZZ_FILES)))]
+    if draw(st.booleans()):
+        return draw(mutated_file(game)), joint
+    return game, draw(mutated_file(joint))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=mutated_pair())
+def test_mutated_files_parse_as_the_per_line_reader_and_commands_exit_0_1_or_2(tmp_path, files):
+    for data in files:
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            continue
+        try:
+            expected = reference_parse_matrix(text)
+        except FormatError as ref_exc:
+            with pytest.raises(FormatError) as exc:
+                parse_matrix(text)
+            assert (str(exc.value), exc.value.line) == (str(ref_exc), ref_exc.line)
+        else:
+            out = parse_matrix(text)
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+    game, joint = tmp_path / "game.txt", tmp_path / "joint.txt"
+    game.write_bytes(files[0])
+    joint.write_bytes(files[1])
+    for argv in (["check", "--game", str(game), "--joint", str(joint)],
+                 ["value", "--game", str(game)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
 
 
 def test_load_game_errors_name_the_file_and_keep_the_line(tmp_path):
