@@ -4,8 +4,8 @@ Core fact under test: the marginal strategies of any ε-coarse-correlated
 equilibrium of a two-player zero-sum game form a 2ε-Nash equilibrium.  The
 package provides the game and distribution types, the gap calculators, the
 no-regret learners that produce empirical coarse-correlated equilibria through
-self-play, and independent oracles (an exact LP value solver and brute-force
-gap enumeration) to validate everything at desk scale.
+self-play, an exact LP value solver, and brute-force gap enumeration that
+cross-checks the gap calculators at desk scale.
 """
 
 from . import equilibrium, games, learners, oracle

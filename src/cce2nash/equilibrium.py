@@ -100,16 +100,6 @@ class JointDistribution:
             return NotImplemented
         return np.array_equal(self.mass, other.mass)
 
-    @classmethod
-    def product(cls, row: MixedStrategy, col: MixedStrategy) -> "JointDistribution":
-        """Independent play: the outer product of two mixed strategies."""
-        return cls(np.outer(row.probs, col.probs))
-
-    @classmethod
-    def point_mass(cls, rows: int, cols: int, cell: tuple[int, int]) -> "JointDistribution":
-        r, c = cell
-        return cls.product(MixedStrategy.point_mass(rows, r), MixedStrategy.point_mass(cols, c))
-
 
 @dataclass(frozen=True)
 class GapReport:

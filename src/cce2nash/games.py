@@ -184,20 +184,6 @@ class MixedStrategy:
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
 
-    @classmethod
-    def uniform(cls, num_actions: int) -> "MixedStrategy":
-        num_actions = _integer(num_actions, "num_actions")
-        return cls(np.full(num_actions, 1.0 / num_actions))
-
-    @classmethod
-    def point_mass(cls, num_actions: int, index: int) -> "MixedStrategy":
-        num_actions, index = _integer(num_actions, "num_actions"), _integer(index, "index", 0)
-        if index >= num_actions:
-            raise ValueError(f"index {index} out of range for {num_actions} actions")
-        probs = np.zeros(num_actions)
-        probs[index] = 1.0
-        return cls(probs)
-
 
 @dataclass(frozen=True)
 class StrategyProfile:

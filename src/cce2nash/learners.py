@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibrium import JointDistribution, _measure, marginal_profile
-from .games import Game, StrategyProfile, _integer
+from .equilibrium import JointDistribution, _measure
+from .games import Game, _integer
 
 __all__ = [
     "Algo",
@@ -144,11 +144,6 @@ class SelfPlayResult:
 
     empirical_joint: JointDistribution
     trajectory: tuple[Checkpoint, ...]
-
-    @property
-    def avg_profile(self) -> StrategyProfile:
-        """The averaged joint's marginals, derived when read: the profile ``check`` scores."""
-        return marginal_profile(self.empirical_joint)
 
 
 # Rounds of play buffered before they are folded into the joint.

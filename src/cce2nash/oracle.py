@@ -1,11 +1,14 @@
-"""Ground-truth machinery: exact game values and brute-force gaps.
+"""Exact game values and brute-force gaps.
 
-Everything here exists to check the rest of the toolkit against an independent
-computation.  The minimax value comes from a self-contained dense simplex (no
-external solver; steepest-edge pricing, Dantzig's rule right after a
-degenerate pivot and Bland's rule after a run of them), and the gap reports
-from direct sums over the joint distribution that deliberately avoid the
-marginal-based formulas used in :mod:`cce2nash.equilibrium`.
+:func:`exact_value` is a product feature: it computes the value that
+``cce2nash value`` prints and the ``oracle_value`` and ``lp_pivots`` that
+``learn`` reports, from a self-contained dense simplex (no external solver;
+steepest-edge pricing, Dantzig's rule right after a degenerate pivot and
+Bland's rule after a run of them).  The tests use it as the value oracle too.
+:func:`brute_force_gaps` is a cross-check only, and no command calls it: it
+recomputes the gap reports from direct sums over the joint distribution that
+deliberately avoid the marginal-based formulas used in
+:mod:`cce2nash.equilibrium`.
 """
 
 from __future__ import annotations

@@ -32,6 +32,30 @@ def random_mixed(rng: np.random.Generator, num_actions: int) -> MixedStrategy:
     return MixedStrategy(weights / weights.sum())
 
 
+# Strategies and joints the tests build often, each through the public
+# constructor, so every one is validated as any other distribution is.
+
+
+def uniform(n: int) -> MixedStrategy:
+    """Uniform play over ``n`` actions."""
+    return MixedStrategy(np.full(n, 1.0 / n))
+
+
+def point_mass(n: int, i: int) -> MixedStrategy:
+    """Action ``i`` of ``n`` played with probability 1."""
+    return MixedStrategy(np.eye(n)[i])
+
+
+def product(row: MixedStrategy, col: MixedStrategy) -> JointDistribution:
+    """Independent play: the outer product of two mixed strategies."""
+    return JointDistribution(np.outer(row.probs, col.probs))
+
+
+def cell(rows: int, cols: int, r: int, c: int) -> JointDistribution:
+    """All mass on the cell ``(r, c)`` of a ``rows``×``cols`` joint."""
+    return product(point_mass(rows, r), point_mass(cols, c))
+
+
 def reference_shift(payoff: np.ndarray) -> float:
     """The payoffs' midpoint when every payoff lies within a factor of 2 of it,
     else 0: the rule ``Game.shift`` stores, computed on its own."""

@@ -29,8 +29,9 @@ from cce2nash import (
 )
 from cce2nash.equilibrium import bound_slack
 from helpers import (
-    ASYM, PENNIES, bimatrix_gains, deviation_value, random_game, random_joint, random_mixed,
-    reference_check_brute_shape, reference_check_joint_shape, reference_check_profile,
+    ASYM, PENNIES, bimatrix_gains, cell, deviation_value, point_mass, product, random_game,
+    random_joint, random_mixed, reference_check_brute_shape, reference_check_joint_shape,
+    reference_check_profile, uniform,
 )
 
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -88,14 +89,10 @@ def test_joint_rejects_bad_sum():
 
 
 def test_joint_product_and_point_mass():
-    mu = JointDistribution.product(MixedStrategy([0.25, 0.75]), MixedStrategy.uniform(2))
+    mu = product(MixedStrategy([0.25, 0.75]), uniform(2))
     assert np.allclose(mu.mass, [[0.125, 0.125], [0.375, 0.375]])
-    pm = JointDistribution.point_mass(2, 3, (1, 2))
+    pm = cell(2, 3, 1, 2)
     assert pm.mass[1, 2] == 1.0 and pm.mass.sum() == 1.0
-    with pytest.raises(ValueError, match=r"^index 3 out of range for 3 actions$"):
-        JointDistribution.point_mass(2, 3, (0, 3))
-    with pytest.raises(TypeError, match=r"^index must be an integer, got float$"):
-        JointDistribution.point_mass(2, 2, (0.5, 0))
 
 
 # --- marginals -----------------------------------------------------------------
@@ -108,7 +105,7 @@ def test_marginal_uniform_mass():
 
 
 def test_marginal_point_mass():
-    profile = marginal_profile(JointDistribution.point_mass(2, 2, (0, 1)))
+    profile = marginal_profile(cell(2, 2, 0, 1))
     assert np.array_equal(profile.row.probs, [1.0, 0.0])
     assert np.array_equal(profile.col.probs, [0.0, 1.0])
 
@@ -140,7 +137,7 @@ def test_expected_joint_utility_point_mass_is_the_cell_payoff():
     rng = np.random.default_rng(7)
     g = random_game(rng, max_dim=5)
     r, c = int(rng.integers(g.rows)), int(rng.integers(g.cols))
-    mu = JointDistribution.point_mass(g.rows, g.cols, (r, c))
+    mu = cell(g.rows, g.cols, r, c)
     assert expected_joint_utility(mu, g) == g.payoff[r, c]
 
 
@@ -164,7 +161,7 @@ def refusal(check):
 def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
     game = make_zero_sum(np.arange(float(np.prod(game_shape))).reshape(game_shape))
     mu = JointDistribution(np.full(shape, 1.0 / np.prod(shape)))
-    profile = StrategyProfile(MixedStrategy.uniform(shape[0]), MixedStrategy.uniform(shape[1]))
+    profile = StrategyProfile(uniform(shape[0]), uniform(shape[1]))
     joint = refusal(lambda: reference_check_joint_shape(mu, game))
     assert joint == refusal(lambda: reference_check_brute_shape(mu, game))
     for check in (cce_gap, analyze, expected_joint_utility):
@@ -180,7 +177,7 @@ def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
 
 
 def test_deviation_value_diagonal_pennies_row_point_mass():
-    dev = MixedStrategy.point_mass(2, 0)
+    dev = point_mass(2, 0)
     assert deviation_value(DIAG, PENNIES, "row", dev) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -194,14 +191,14 @@ def test_deviation_value_on_product_distribution_matches_the_profile_payoff():
     # Dyadic entries keep every intermediate sum exact, so this holds with ==.
     row = MixedStrategy([0.5, 0.5])
     col = MixedStrategy([0.25, 0.75])
-    mu = JointDistribution.product(row, col)
+    mu = product(row, col)
     dev = MixedStrategy([0.75, 0.25])
     assert deviation_value(mu, ASYM, "row", dev) == float(dev.probs @ ASYM.payoff @ col.probs)
 
 
 def test_deviation_value_rejects_wrong_length():
     with pytest.raises(ValueError, match="length 3"):
-        deviation_value(DIAG, PENNIES, "row", MixedStrategy.uniform(3))
+        deviation_value(DIAG, PENNIES, "row", uniform(3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -228,7 +225,7 @@ def test_cce_gap_diagonal_pennies():
 
 
 def test_cce_gap_uniform_product_is_zero():
-    mu = JointDistribution.product(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
+    mu = product(uniform(2), uniform(2))
     assert cce_gap(mu, PENNIES).epsilon == pytest.approx(0.0, abs=1e-15)
 
 
@@ -244,12 +241,12 @@ def test_cce_gap_tie_breaks_to_lowest_index():
 
 
 def test_nash_gap_uniform_pennies_is_zero():
-    profile = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
+    profile = StrategyProfile(uniform(2), uniform(2))
     assert nash_gap(profile, PENNIES).epsilon == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nash_gap_pure_pennies_profile():
-    profile = StrategyProfile(MixedStrategy.point_mass(2, 0), MixedStrategy.point_mass(2, 0))
+    profile = StrategyProfile(point_mass(2, 0), point_mass(2, 0))
     report = nash_gap(profile, PENNIES)
     assert report.col_gain == pytest.approx(2.0, abs=1e-15)
     assert report.col_deviation == 1
@@ -257,7 +254,7 @@ def test_nash_gap_pure_pennies_profile():
 
 
 def test_nash_gap_rejects_mismatched_profile():
-    profile = StrategyProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(3))
+    profile = StrategyProfile(uniform(2), uniform(3))
     with pytest.raises(ValueError, match="2x3"):
         nash_gap(profile, PENNIES)
 
@@ -285,7 +282,7 @@ def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big, tmp_path):
 
 
 def test_gap_report_epsilon_clips_at_zero():
-    mu = JointDistribution.product(MixedStrategy.uniform(3), MixedStrategy.uniform(3))
+    mu = product(uniform(3), uniform(3))
     g = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
     report = cce_gap(mu, g)
     assert report.epsilon == 0.0
@@ -305,14 +302,14 @@ def test_value_consistency_diagonal_pennies():
 def test_value_consistency_product_distribution_lhs_zero():
     rng = np.random.default_rng(5)
     g = random_game(rng, max_dim=6)
-    mu = JointDistribution.product(random_mixed(rng, g.rows), random_mixed(rng, g.cols))
+    mu = product(random_mixed(rng, g.rows), random_mixed(rng, g.cols))
     result = value_consistency_check(mu, g)
     assert result.lhs <= 1e-12
     assert result.holds
 
 
 def test_value_consistency_point_mass():
-    mu = JointDistribution.point_mass(2, 2, (1, 0))
+    mu = cell(2, 2, 1, 0)
     result = value_consistency_check(mu, PENNIES)
     assert result.lhs <= 1e-15
     assert result.holds
@@ -349,7 +346,7 @@ def test_two_eps_diagonal_pennies():
 
 
 def test_two_eps_exact_cce_gives_exact_nash():
-    mu = JointDistribution.product(MixedStrategy.uniform(2), MixedStrategy.uniform(2))
+    mu = product(uniform(2), uniform(2))
     result = two_eps_check(mu, PENNIES)
     assert result.cce_eps <= 1e-12
     assert result.nash_eps <= 2.0 * result.cce_eps + 1e-9

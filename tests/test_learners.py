@@ -11,6 +11,7 @@ from cce2nash import (
     Algo,
     Averaging,
     Checkpoint,
+    Game,
     JointDistribution,
     SelfPlayResult,
     analyze,
@@ -22,6 +23,7 @@ from cce2nash import (
     self_play,
     trajectory_csv,
 )
+from cce2nash.equilibrium import bound_slack
 from cce2nash.learners import _eta, _rule, _sample_indices
 from helpers import ASYM, PENNIES, random_game
 
@@ -283,7 +285,7 @@ def test_self_play_single_round_is_uniform_product():
     for algo in Algo:
         result = self_play(PENNIES, algo, iters=1)
         assert np.array_equal(result.empirical_joint.mass, np.full((2, 2), 0.25))
-        assert np.array_equal(result.avg_profile.row.probs, [0.5, 0.5])
+        assert np.array_equal(marginal_profile(result.empirical_joint).row.probs, [0.5, 0.5])
 
 
 def test_self_play_is_deterministic():
@@ -291,7 +293,6 @@ def test_self_play_is_deterministic():
         a = self_play(PENNIES, Algo.REGRET_MATCHING_PLUS, iters=500, seed=9, averaging=averaging)
         b = self_play(PENNIES, Algo.REGRET_MATCHING_PLUS, iters=500, seed=9, averaging=averaging)
         assert np.array_equal(a.empirical_joint.mass, b.empirical_joint.mass)
-        assert np.array_equal(a.avg_profile.row.probs, b.avg_profile.row.probs)
         assert a.trajectory == b.trajectory
 
 
@@ -299,18 +300,6 @@ def test_sampled_mode_depends_on_seed():
     a = self_play(PENNIES, Algo.REGRET_MATCHING, iters=200, seed=0, averaging="sampled")
     b = self_play(PENNIES, Algo.REGRET_MATCHING, iters=200, seed=1, averaging="sampled")
     assert not np.array_equal(a.empirical_joint.mass, b.empirical_joint.mass)
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (3, 6)], ids=["square", "wide"])
-def test_avg_profile_matches_marginals_of_joint(shape):
-    g = make_zero_sum(np.random.default_rng(17).uniform(-1.0, 1.0, size=shape))
-    for algo in Algo:
-        for averaging in Averaging:
-            result = self_play(g, algo, iters=700, seed=3, averaging=averaging)
-            marginals = marginal_profile(result.empirical_joint)
-            assert result.avg_profile == marginals
-            assert np.array_equal(result.avg_profile.row.probs, marginals.row.probs)
-            assert np.array_equal(result.avg_profile.col.probs, marginals.col.probs)
 
 
 def test_trajectory_checkpoints_at_log_every_and_final():
@@ -507,6 +496,115 @@ def test_rm_external_regret_within_standard_bound():
         assert iters * max(report.col_gain, 0.0) <= col_bound
 
 
+# --- Fact 1: the regret certificate ------------------------------------------------
+# With expected averaging the joint after t rounds is the average of the played
+# products, so each player's CCE gain of it is that player's average external
+# regret over those rounds, which each rule bounds.
+
+
+def played_utilities(game, algo, col_algo, iters):
+    """Per round of ``reference_play``, on the payoffs minus their shift: each
+    player's utilities of its pure actions, one row per round, and the row
+    player's payoff of the round, ``(row_utilities, col_utilities, values)``;
+    the column player's payoff is ``-values``."""
+    payoff = game.payoff - game.shift
+    xs, ys = (np.array(side) for side in zip(*reference_play(game, algo, col_algo, iters)))
+    row_utilities = ys @ payoff.T
+    return row_utilities, -(xs @ payoff), np.einsum("ti,ti->t", xs, row_utilities)
+
+
+def average_regret(utilities, values, t):
+    """Average external regret over the first ``t`` rounds, from exact sums."""
+    best = max(math.fsum(utilities[:t, a]) for a in range(utilities.shape[1]))
+    return (best - math.fsum(values[:t])) / t
+
+
+def running_regrets(utilities, values):
+    """Average external regret after each of rounds 1, ..., T, from running sums."""
+    sums = np.cumsum(utilities, axis=0) - np.cumsum(values)[:, None]
+    return sums.max(axis=1) / np.arange(1, len(values) + 1)
+
+
+def regret_bound(game, algo, k, iters, t):
+    """The average external regret a player with ``k`` actions is guaranteed
+    after ``t`` rounds (an array), on utilities spanning the payoff range Δ:
+    Δ·√(k/t) for RM and RM+ (Hart & Mas-Colell 2000; Tammelin 2014), and
+    ln k/(η·t) + η·Δ²/8 for MW at its fixed step size η (Cesa-Bianchi &
+    Lugosi 2006, Thm 2.2).  A single action or a flat game leaves no regret."""
+    spread = game.payoff_range
+    if k == 1 or spread == 0.0:
+        return np.zeros(len(t))
+    if algo is MW:
+        eta = _eta(MW, k, spread, iters)
+        return math.log(k) / (eta * t) + eta * spread**2 / 8.0
+    return spread * np.sqrt(k / t)
+
+
+def regret_tol(game, iters):
+    """Rounding allowed between a gain and its exact regret, to first order:
+    each cell of the joint errs by at most 64 + ⌈T/64⌉ + 1 roundings (see
+    ``test_block_joint_is_within_the_blocked_summation_bound_of_the_exact_sum``),
+    the marginals, ``A·y``, ``x·A`` and the joint payoff add at most
+    rows·cols + 2·(rows + cols) more, and the reference's utilities and
+    payoffs rows + cols + 2; each of the two terms of a gain takes them all,
+    at 2⁻⁵³ of the largest |payoff − shift| each."""
+    rows, cols = game.shape
+    roundings = 64 + math.ceil(iters / 64) + 1 + rows * cols + 3 * (rows + cols) + 2
+    return 2 * roundings * 2.0**-53 * float(np.abs(game.centered).max())
+
+
+# (shape, payoffs, power of two they are scaled by, offset before scaling):
+# one player with a single action, tie-heavy {-1, 0, 1} payoffs, 2^±40,
+# offsets that make a shift and one that does not, and a flat game.
+FACT1_GAMES = [
+    ((1, 1), "uniform", 0, 0.0),
+    ((1, 6), "uniform", -40, 0.0),
+    ((6, 1), "ties", 40, 0.0),
+    ((4, 4), "ties", 0, 0.0),
+    ((12, 12), "uniform", 0, 0.25),
+    ((5, 12), "uniform", 40, 2.0**20),
+    ((12, 5), "uniform", -40, -3.0),
+    ((3, 3), "flat", 0, 7.0),
+]
+
+
+@pytest.mark.parametrize("shape, kind, exponent, offset", FACT1_GAMES,
+                         ids=[f"{r}x{c}-{kind}-2^{e}+{o:g}" for (r, c), kind, e, o in FACT1_GAMES])
+@pytest.mark.parametrize("algo, col_algo", [(a, b) for a in Algo for b in Algo],
+                         ids=[f"{a.value}-{b.value}" for a in Algo for b in Algo])
+def test_each_cce_gain_is_the_players_average_external_regret_within_its_bound(
+    algo, col_algo, shape, kind, exponent, offset
+):
+    rng = np.random.default_rng(71)
+    if kind == "uniform":
+        base = rng.uniform(-1.0, 1.0, size=shape)
+    elif kind == "ties":
+        base = rng.integers(-1, 2, size=shape).astype(float)
+    else:
+        base = np.zeros(shape)
+    game = Game((base + offset) * 2.0**exponent)
+    iters = 1500
+    result = self_play(game, algo, iters=iters, log_every=250, col_algo=col_algo)
+    row_utilities, col_utilities, values = played_utilities(game, algo, col_algo, iters)
+    tol = regret_tol(game, iters)
+
+    # (a) At the final joint each CCE gain is that player's average regret.
+    report = cce_gap(result.empirical_joint, game)
+    assert abs(report.row_gain - average_regret(row_utilities, values, iters)) <= tol
+    assert abs(report.col_gain - average_regret(col_utilities, -values, iters)) <= tol
+    # (b) So at every checkpoint cce_eps is the larger regret, clipped at 0.
+    for point in result.trajectory:
+        regrets = (average_regret(row_utilities, values, point.t),
+                   average_regret(col_utilities, -values, point.t))
+        assert abs(point.cce_eps - max(0.0, *regrets)) <= tol
+    # (c) And after every round each player's regret is within its own bound.
+    t = np.arange(1, iters + 1)
+    for rule, k, utilities, own in ((algo, game.rows, row_utilities, values),
+                                    (col_algo, game.cols, col_utilities, -values)):
+        excess = running_regrets(utilities, own) - regret_bound(game, rule, k, iters, t)
+        assert excess.max() <= bound_slack(game), (rule, k, int(np.argmax(excess)) + 1)
+
+
 @pytest.mark.parametrize("offset", [1e12, -1e12])
 def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
     # The rules see the payoffs minus their midpoint, so an offset costs MW
@@ -554,7 +652,8 @@ def test_mw_runs_clean_when_the_shorter_players_weights_underflow(shape):
     g = make_zero_sum(payoff if shape[0] > shape[1] else -payoff)
     iters = 70_000
     result = self_play(g, MW, iters=iters, log_every=iters)
-    loser = result.avg_profile.col if shape[0] > shape[1] else result.avg_profile.row
+    marginals = marginal_profile(result.empirical_joint)
+    loser = marginals.col if shape[0] > shape[1] else marginals.row
     assert np.isfinite(loser.probs).all()
     assert result.trajectory[-1].nash_eps <= 2.0 * result.trajectory[-1].cce_eps + 1e-9
 

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cce2nash import (
+    Algo,
+    Averaging,
+    Game,
     JointDistribution,
     SimplexLimitExceeded,
     StrategyProfile,
@@ -13,10 +16,13 @@ from cce2nash import (
     make_zero_sum,
     marginal_profile,
     nash_gap,
+    self_play,
 )
 from cce2nash import oracle
 from cce2nash.oracle import _simplex_max_ones
-from helpers import ASYM, PENNIES, RPS, full_tableau_simplex, random_game, random_joint
+from helpers import (
+    ASYM, PENNIES, RPS, full_tableau_simplex, product, random_game, random_joint, random_mixed,
+)
 
 
 # --- exact values ----------------------------------------------------------------
@@ -253,6 +259,65 @@ def test_exact_value_matches_highs(family, dim):
     assert result.status == 0
     tol = 1e-7 * (float(payoff.max() - payoff.min()) or 1.0)
     assert exact_value(make_zero_sum(payoff)).value == pytest.approx(result.fun, abs=tol)
+
+
+# --- Fact 2: the marginals bracket the value ------------------------------------------
+# The paper's proof: with (x, y) the marginals of a joint, M = max_r (A·y)_r and
+# m = min_c (x·A)_c, the value v satisfies m <= v <= M, and M − m is the sum of
+# the two CCE gains.
+
+
+@st.composite
+def bracket_instances(draw):
+    """A game of 1×1 to 12×12, scaled by 2^-40 to 2^40 and maybe offset, and a
+    joint of it: Dirichlet, sparse (one to three cells), a product of two
+    mixed strategies, or the averaged play of a short self-play run."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = rng.uniform(-1.0, 1.0, size=(rows, cols))
+    else:
+        base = rng.integers(-1, 2, size=(rows, cols)).astype(float)
+    offset = draw(st.sampled_from([0.0, 0.5, -3.0, 2.0**20, -(2.0**20)]))
+    game = Game((base + offset) * 2.0 ** draw(st.integers(-40, 40)))
+    family = draw(st.sampled_from(["dirichlet", "sparse", "product", "self-play"]))
+    if family == "dirichlet":
+        mu = JointDistribution(rng.dirichlet(np.ones(rows * cols)).reshape(rows, cols))
+    elif family == "sparse":
+        mass = np.zeros(rows * cols)
+        count = min(rows * cols, draw(st.integers(1, 3)))
+        cells = rng.choice(rows * cols, size=count, replace=False)
+        mass[cells] = rng.dirichlet(np.ones(count))
+        mu = JointDistribution(mass.reshape(rows, cols))
+    elif family == "product":
+        mu = product(random_mixed(rng, rows), random_mixed(rng, cols))
+    else:
+        mu = self_play(game, draw(st.sampled_from(list(Algo))), iters=draw(st.integers(1, 300)),
+                       averaging=draw(st.sampled_from(list(Averaging))), seed=3).empirical_joint
+    return game, mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_instances())
+def test_the_marginals_bracket_the_value_within_the_sum_of_the_cce_gains(instance):
+    game, mu = instance
+    profile = marginal_profile(mu)
+    high = float((game.payoff @ profile.col.probs).max())  # M
+    low = float((profile.row.probs @ game.payoff).min())  # m
+    # Rounding, to first order: each side's marginal, product and the gains'
+    # joint payoff take at most rows·cols + 2·(rows + cols) + 4 roundings of
+    # 2⁻⁵³ of the largest |payoff| each, twice over for the two sides.
+    rows, cols = game.shape
+    roundings = rows * cols + 2 * (rows + cols) + 4
+    rounding = 2 * roundings * 2.0**-53 * float(np.abs(game.payoff).max())
+    # The LP's value is within 1e-7 of the payoff range (ValueSolution).
+    value = exact_value(game).value
+    assert low - 1e-7 * game.payoff_range - rounding <= value
+    assert value <= high + 1e-7 * game.payoff_range + rounding
+    cce = cce_gap(mu, game)
+    assert abs((high - low) - (cce.row_gain + cce.col_gain)) <= rounding
+    nash = nash_gap(profile, game)
+    assert max(nash.row_gain, nash.col_gain) <= high - low + rounding
 
 
 # --- brute-force gap recomputation ----------------------------------------------------

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import cce2nash
-from cce2nash import equilibrium, games, learners, oracle
+from cce2nash import (
+    JointDistribution, MixedStrategy, SelfPlayResult, equilibrium, games, learners, oracle,
+)
 
 # The package's public names, one module each.
 PUBLIC = {
@@ -36,6 +38,18 @@ DELETED = [
     "Player",
     "marginal",
     "expected_utility",
+]
+
+# Second routes to values that one constructor or function already builds:
+# ``MixedStrategy(np.full(n, 1.0 / n))``, ``MixedStrategy(np.eye(n)[i])``,
+# ``JointDistribution(np.outer(x.probs, y.probs))`` and
+# ``marginal_profile(result.empirical_joint)``.
+DELETED_MEMBERS = [
+    (MixedStrategy, "uniform"),
+    (MixedStrategy, "point_mass"),
+    (JointDistribution, "product"),
+    (JointDistribution, "point_mass"),
+    (SelfPlayResult, "avg_profile"),
 ]
 
 
@@ -72,3 +86,11 @@ def test_test_only_names_are_gone_from_the_package(name):
     assert not hasattr(cce2nash, name)
     with pytest.raises(ImportError):
         exec(f"from cce2nash import {name}", {})
+
+
+@pytest.mark.parametrize(
+    "owner, name", DELETED_MEMBERS,
+    ids=[f"{owner.__name__}.{name}" for owner, name in DELETED_MEMBERS],
+)
+def test_test_only_members_are_gone_from_the_package(owner, name):
+    assert not hasattr(owner, name)

@@ -41,5 +41,5 @@ def test_the_readme_example_runs_and_each_stated_value_holds():
             checked += 1
         else:
             exec(code, namespace)
-    # Three lines state True, two 0.0 and one 1.0.
+    # Two lines state True, three 0.0 and one 1.0.
     assert checked == len(stated) == 6
