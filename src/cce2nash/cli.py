@@ -141,8 +141,8 @@ def cmd_value(args) -> int:
     if args.format == "json":
         report = {
             "value": solution.value,
-            "row_strategy": [float(p) for p in solution.row_strategy.probs],
-            "col_strategy": [float(p) for p in solution.col_strategy.probs],
+            "row_strategy": solution.row_strategy.probs.tolist(),
+            "col_strategy": solution.col_strategy.probs.tolist(),
         }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

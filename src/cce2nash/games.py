@@ -264,91 +264,148 @@ def _split(x):
     return high, x - high
 
 
+def _power_edge(k: int) -> float:
+    """The smallest double at or above 10**-k, for k >= 1 (no double is 10**-k)."""
+    nearest = float(f"1e-{k}")
+    numerator, denominator = nearest.as_integer_ratio()
+    return nearest if numerator * 10**k > denominator else math.nextafter(nearest, 1.0)
+
+
+# The smallest double at or above 10**-k, for k = 1 to 16.  The doubles 1e-1
+# to 1e-5 lie just above the power of ten they stand for; 1e-6, 1e-14 and
+# 1e-16 are among those that lie below it.
+_POWER_EDGES = [_power_edge(k) for k in range(1, 17)]
 # A search among these edges gives each value x a code 0..11: 0..5 for x <=
 # -1e-1, ..., -1e-5 and < 0, 6..11 for x < 1e-5, 1e-4, ..., 1e-1 and 1, so
-# decade E = floor(log10 |x|) is -1 - code for codes 0..5 and code - 12 for
-# 6..11.  Each negative edge is the double next to -1e-k towards 0, so the
-# search counts it for every x above -1e-k.  By code: what %.17g writes before
-# the digits (decades -1 to -4, in fixed notation), and 10**(16 - E), split
-# into halves.  The decades -5 and -6 are written in exponent notation.
+# decade E = floor(log10 |x|) is -1 - code for codes 0..4, code - 12 for
+# 7..11, and -6 or below for codes 5 and 6.  Each negative edge is the double
+# next to -1e-k towards 0, so the search counts it for every x above -1e-k.
+# By code: what %.17g writes before the digits (decades -1 to -4, in fixed
+# notation), and 10**(16 - E), or 10**22 for codes 5 and 6, split into halves.
+# The decades -5 to -16 are written in exponent notation.
 _DIGIT_EDGES = np.array(
-    [math.nextafter(-e, 0.0) for e in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
-    + [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
+    [-math.nextafter(edge, 0.0) for edge in _POWER_EDGES[:5]] + [0.0] + _POWER_EDGES[4::-1]
 )
 _DIGIT_SCALES = np.array([10.0**k for k in range(17, 23)] + [10.0**k for k in range(22, 16, -1)])
 _DIGIT_SCALE_HIGH, _DIGIT_SCALE_LOW = _split(_DIGIT_SCALES)
-# The double 1e-6 lies below 10**-6 (%.17g writes 9.9999999999999995e-07);
-# the next double up is the smallest at or above it.
-_DIGIT_LOW = math.nextafter(1e-6, 1.0)
+# The range runs from the smallest double at or above 10**-16 up to 1.
+_DIGIT_LOW = _POWER_EDGES[15]
+# Below _SMALL_LOW, in decades -7 to -16, a search among _SMALL_EDGES gives
+# step = 16 + E, and 10**(16 - E) = 10**22 * _SMALL_SCALES[step], both exact.
+_SMALL_LOW = _POWER_EDGES[5]
+_SMALL_EDGES = np.array(_POWER_EDGES[14:5:-1])
+_SMALL_SCALES = np.array([10.0**k for k in range(10, 0, -1)])
+_SMALL_SCALE_HIGH, _SMALL_SCALE_LOW = _split(_SMALL_SCALES)
+# There, the fraction that rounds the last digit is off by at most 30.3 *
+# 2**-53 (see format_matrix), so one this near a half-integer may round wrong.
+_SMALL_TIE = 31 * 2.0**-53
 # Each value in the range is written as one piece of its block's format: what
 # %.17g writes before the digits, "%d" for them, any exponent, then " " or,
 # in the last column, "\n".  Fixed notation, by code (decades -1 to -4): the
-# sign, "0." and -E - 1 zeros.  Exponent notation, at 12 + 144 * (code - 4) +
-# 16 * (first - 1) + zeros for codes 4 to 7: the sign, the first digit, "."
-# and the zeros that lead the other 16 digits, then after the digits "e-05"
-# or "e-06".  No double in decades -5 and -6 is written with one digit only,
-# so the "." is always there.  Codes 4 to 7 have no piece of their own.  Each
-# piece comes twice, with " " and then with "\n".
-_DIGIT_PIECES = np.array(
-    [[piece + sep for sep in (" ", "\n")]
-     for piece in ["-0." + "0" * zeros + "%d" for zeros in range(4)] + [""] * 4
-     + ["0." + "0" * zeros + "%d" for zeros in range(3, -1, -1)]
-     + [f"{sign}{first}.{'0' * zeros}%de-0{k}"
-        for sign, k in (("-", 5), ("-", 6), ("", 6), ("", 5))
-        for first in range(1, 10) for zeros in range(16)]],
-    dtype=object,
-).ravel()
+# sign, "0." and -E - 1 zeros.  Exponent notation, at 12 + 144 * slot + 16 *
+# (first - 1) + zeros, where slot is -E - 5 for a negative value and 7 - E
+# for a positive one: the sign, the first digit, "." and the zeros that lead
+# the other 16 digits, then after the digits "e-05" to "e-16".  A value whose
+# digits leave "." out, or carry into the next decade, has no piece (see
+# format_matrix).  Codes 4 to 7 have no piece of their own.  Each piece comes
+# twice, with " " and then with "\n".
+_DIGIT_PIECES = np.concatenate([
+    np.array([[piece + sep for sep in (" ", "\n")]
+              for piece in ["-0." + "0" * zeros + "%d" for zeros in range(4)] + [""] * 4
+              + ["0." + "0" * zeros + "%d" for zeros in range(3, -1, -1)]],
+             dtype=object).ravel(),
+    (np.array([[f"{sign}{first}." for first in range(1, 10)] for sign in ("-", "")],
+              dtype=object)[:, None, :, None, None]
+     + np.array(["0" * zeros + "%d" for zeros in range(16)], dtype=object)[:, None]
+     + np.array([[f"e-{k:02d}{sep}" for sep in (" ", "\n")] for k in range(5, 17)],
+                dtype=object)[:, None, None, :]).ravel(),
+])
+# By code, for codes 4 to 7 (decades -5 and -6): where the pieces of its slot
+# start, less 16 for the first digit, which is at least 1.
+_EXPONENT_BASES = np.array([0, 0, 0, 0, 0, 1, 13, 12, 0, 0, 0, 0]) * 144 + 12 - 16
 # What %.17g writes for 0.0 and -0.0, by sign, each with " " and then "\n".
 _ZERO_PIECES = np.array(["0 ", "0\n", "-0 ", "-0\n"], dtype=object)
 _POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
 # Below _DIGIT_MIN_VALUES values in a block, or in the range, the fixed numpy
 # cost of the digit pieces, about 28 us, outweighs what they save: on one core
 # of a 2-vCPU Xeon they broke even at 96 to 112 uniform values, 144 to 176
-# Dirichlet masses and 176 to 208 masses in a block with zeros.
+# Dirichlet masses and 176 to 208 masses in a block with zeros.  With masses
+# down to 1e-16 as digits, Dirichlet joints of 96 to 256 values broke even at
+# 144 to 176 again: such joints hold almost no mass below 1e-6.
 _DIGIT_MIN_VALUES = 128
 _DIGIT_BLOCK_VALUES = 4096
 
 
-def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per value of ``values``, 1-D with every |value| in [1e-6, 1): its code
-    among ``_DIGIT_EDGES`` and the 17 digits %.17g writes, as one integer."""
-    code = np.searchsorted(_DIGIT_EDGES, values, side="right")
-    magnitude = np.abs(values)
-    high = magnitude * _DIGIT_SCALES.take(code)
-    # Dekker's two-product, one numpy call per operation so no step is fused:
-    # high + low is the product exactly.
-    mag_high, mag_low = _split(magnitude)
-    scale_high, scale_low = _DIGIT_SCALE_HIGH.take(code), _DIGIT_SCALE_LOW.take(code)
-    low = mag_high * scale_high - high
-    low += mag_high * scale_low
-    low += mag_low * scale_high
-    low += mag_low * scale_low
-    digits = high.astype(np.int64)
-    digits += np.rint(low).astype(np.int64)
-    return code, digits
+def _two_product(a, b, b_high, b_low):
+    """Dekker's two-product of ``a`` and ``b``, whose halves are ``b_high``
+    and ``b_low``: ``a * b`` rounded and the low part, which sum to the product
+    exactly.  One numpy call per operation, so no step is fused."""
+    high = a * b
+    a_high, a_low = _split(a)
+    low = a_high * b_high - high
+    low += a_high * b_low
+    low += a_low * b_high
+    low += a_low * b_low
+    return high, low
+
+
+def _texts(values: list, last: list) -> list:
+    """Each of ``values`` as its own '%.17g' text, then "\n" where ``last``
+    is true, else " "."""
+    return [("%.17g\n" if end else "%.17g ") % value for end, value in zip(last, values)]
 
 
 def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per value of ``values``, 1-D with every |value| in [1e-6, 1), and true
-    in ``last`` for a value in the last column: its piece of
-    ``_DIGIT_PIECES`` and the integer the piece's ``%d`` writes."""
-    index, number = _digits(values)  # a code of fixed notation is its piece
-    at = np.flatnonzero((index >= 4) & (index < 8))  # exponent notation
+    """Per value of ``values``, 1-D with every |value| in [1e-16, 1), and true
+    in ``last`` for a value in the last column: its piece of ``_DIGIT_PIECES``,
+    or its '%.17g' text, and the integers the pieces' ``%d``s write, in order.
+    See :func:`format_matrix` for why the digits are those %.17g writes."""
+    code = np.searchsorted(_DIGIT_EDGES, values, side="right")
+    magnitude = np.abs(values)
+    high, low = _two_product(magnitude, _DIGIT_SCALES.take(code),
+                             _DIGIT_SCALE_HIGH.take(code), _DIGIT_SCALE_LOW.take(code))
+    number = high.astype(np.int64)
+    number += np.rint(low).astype(np.int64)
+    index = code  # a code of fixed notation is its piece
+    text = np.zeros(0, dtype=np.intp)  # values written as their '%.17g' text
+    at = np.flatnonzero((code >= 4) & (code < 8))  # exponent notation
     if at.size:
+        base = _EXPONENT_BASES.take(code[at])
+        small = np.flatnonzero(magnitude.take(at) < _SMALL_LOW)  # decades -7 to -16
+        if small.size:
+            where = at[small]
+            step = np.searchsorted(_SMALL_EDGES, magnitude[where], side="right")
+            scale = _SMALL_SCALES.take(step)
+            top, fraction = _two_product(high[where], scale, _SMALL_SCALE_HIGH.take(step),
+                                         _SMALL_SCALE_LOW.take(step))
+            fraction += low[where] * scale
+            digits = top.astype(np.int64)
+            digits += np.rint(fraction).astype(np.int64)
+            number[where] = digits
+            base[small] += 144 * (10 - step)
+            # A near tie, one digit or a carry into the next decade.
+            off = (np.abs(fraction - np.floor(fraction) - 0.5) <= _SMALL_TIE) | (digits % 10**16 == 0)
+            if off.any():
+                text = where[off]
+                at, base = np.delete(at, small[off]), np.delete(base, small[off])
         first, rest = np.divmod(number[at], 10**16)
         zeros = 16 - np.searchsorted(_POWERS_OF_TEN, rest, side="right")
-        index[at] = 12 + 144 * (index[at] - 4) + 16 * (first - 1) + zeros
+        index[at] = base + 16 * first + zeros
         number[at] = rest
     # %g drops trailing zeros; few values have any.  No rest is 0 (see
     # format_matrix), but the loop drops a 0 rather than divide it for ever.
-    at = np.flatnonzero(number % 10 == 0)
-    while at.size:
-        number[at] //= 10
-        kept = number[at]
-        at = at[(kept % 10 == 0) & (kept != 0)]
+    trailing = np.flatnonzero(number % 10 == 0)
+    while trailing.size:
+        number[trailing] //= 10
+        kept = number[trailing]
+        trailing = trailing[(kept % 10 == 0) & (kept != 0)]
     index *= 2
     index += last
-    return _DIGIT_PIECES.take(index), number
+    pieces = _DIGIT_PIECES.take(index)
+    if text.size:
+        pieces[text] = _texts(values[text].tolist(), last[text].tolist())
+        number = np.delete(number, text)
+    return pieces, number
 
 
 def _block_text(block: np.ndarray, line: str) -> str:
@@ -383,27 +440,37 @@ def _block_text(block: np.ndarray, line: str) -> str:
         pieces[on], number = _digit_pieces(block[on], last[on])
         text &= ~on
     # Any other value is its own '%.17g' text, which holds no "%".
-    pieces[text] = [("%.17g\n" if end else "%.17g ") % value
-                    for end, value in zip(last[text].tolist(), block[text].tolist())]
+    pieces[text] = _texts(block[text].tolist(), last[text].tolist())
     return "".join(pieces.ravel().tolist()) % tuple(number.tolist())
 
 
 def format_matrix(matrix: np.ndarray) -> str:
     """Render a matrix in the shared text format with full round-trip precision.
 
-    Each value is written as ``'%.17g'`` writes it.  A value in 1e-6 <= |x| < 1
-    is written from exact integer digits, with the same bytes.  The doubles
-    1e-5 to 1e-1 each lie just above the power of ten they stand for, so
-    comparing with them settles E = floor(log10 |x|) in [-6, -1] exactly; the
-    double 1e-6 lies below 10**-6, so the range starts at the next double up.
-    10**(16 - E) <= 10**22 is an exact double, and Dekker's two-product gives
-    |x| * 10**(16 - E) = h + l exactly.  h >= 10**16 > 2**53 is an even
-    integer, so h + rint(l) is the product rounded half to even, as %.17g
-    rounds it: 17 digits, less trailing zeros, which %.17g writes after "0."
-    and -E - 1 zeros for E >= -4, and as d.dddd...e-0K for E = -5 and -6.  No
-    double in [1e-6, 1) rounds up to the next decade at 17 digits, so no carry
-    arises, and none in decades -5 and -6 rounds to a single digit, so the
-    "." always stays.
+    Each value is written as ``'%.17g'`` writes it.  A value in 1e-16 <= |x| < 1
+    is written from exact integer digits, with the same bytes.  Comparing with
+    the smallest double at or above each 10**-k (the double 1e-k, or the next
+    one up where 1e-k lies below 10**-k, as 1e-6, 1e-14 and 1e-16 do) settles
+    E = floor(log10 |x|) in [-16, -1] exactly.  For E >= -6, 10**(16 - E) <=
+    10**22 is an exact double, and Dekker's two-product gives |x| * 10**(16 -
+    E) = h + l exactly.  h >= 10**16 > 2**53 is an even integer, so h + rint(l)
+    is the product rounded half to even, as %.17g rounds it: 17 digits, less
+    trailing zeros, which %.17g writes after "0." and -E - 1 zeros for E >= -4,
+    and as d.dddd...e-K for E <= -5.  No double in [1e-6, 1) rounds up to the
+    next decade at 17 digits, so no carry arises, and none in decades -5 and
+    -6 rounds to a single digit, so the "." always stays.
+
+    For E <= -7, 10**(16 - E) = 10**22 * s with s = 10**(-6 - E) <= 10**10,
+    both exact doubles.  Two-products give |x| * 10**22 = h1 + l1 and h1 * s
+    = h2 + l2 exactly, so the product is h2 + l2 + l1 * s, and h2, at least
+    10**16 - 12, is an integer.  With u = 2**-53: h1 <= 10**(23 + E), so |l1|
+    <= u * h1 and |l1 * s| <= u * 10**17 < 11.2; h2 <= 10**17 < 2**57, so |l2|
+    <= 8.  The rounded f = l2 + (l1 * s) is then within 30.3 * u of l2 + l1 *
+    s, so where f lies further than 31 * u from every half-integer, h2 +
+    rint(f) is the product rounded to 17 digits.  A value whose f lies nearer
+    (an exact tie too, such as 3 * 2**-24), whose digits round up to 10**17
+    (a carry: the double 1e-14, below 10**-14, is written 1e-14) or keep one
+    digit (as 2e-08, which leaves the "." out) is its own ``'%.17g'`` text.
 
     The text is the header and the blocks, joined once.  Rows are taken in
     blocks of at most ``_DIGIT_BLOCK_VALUES`` (4,096) values, and each block

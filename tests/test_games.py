@@ -32,6 +32,7 @@ from cce2nash import (
     save_game,
     save_joint,
 )
+from cce2nash import games
 from cce2nash.cli import main
 from cce2nash.equilibrium import bound_slack
 from cce2nash.games import format_matrix, parse_matrix, write_files_atomic, write_text_atomic
@@ -461,7 +462,7 @@ def test_write_files_atomic_names_the_target_when_a_rename_fails(tmp_path, monke
 
 
 # --- codec equivalence with the per-value reference codec ---------------------
-# The writer fills each block of rows by one '%', values in [1e-6, 1) from
+# The writer fills each block of rows by one '%', values in [1e-16, 1) from
 # exact integer digits, and the reader parses the data lines with numpy.  These
 # references are the per-value writer and the per-line reader they replaced; the
 # codec must agree with them byte for byte and bit for bit.
@@ -579,34 +580,35 @@ def _neighbours(x, steps):
     return out
 
 
-# Each power of ten from 1 to 1e-6, as the double nearest it, with six float
+# Each power of ten from 1 to 1e-18, as the double nearest it, with six float
 # neighbours either side (the largest below each is the double nearest to
-# rounding up a decade; the double 1e-6 itself lies below 10**-6); exact
-# 17-digit ties, j * 2**-(17 - E) with j odd in decade E, which %.17g rounds
-# half to even; and what sends a value off the digit path: 0, -0.0, 1, 1e-6
-# and subnormals.
+# rounding up a decade; the doubles 1e-6, 1e-14 and 1e-16 themselves lie
+# below their powers); exact 17-digit ties, j * 2**-(17 - E) with j odd in
+# decade E, which %.17g rounds half to even (decades -7 and -8 hold the
+# smallest ones); and what sends a value off the digit path: 0, -0.0, 1,
+# 1e-16 and below, and subnormals.
 DECADE_NEIGHBOURS = np.array(
-    [x for k in range(7) for x in _neighbours(float(f"1e-{k}"), 6)]
+    [x for k in range(19) for x in _neighbours(float(f"1e-{k}"), 6)]
 )
-DIGIT_DECADES = (-6, -5, -4, -3, -2, -1)
+DIGIT_DECADES = tuple(range(-16, 0))
 DIGIT_TIES = np.array([
     math.ldexp(j, exponent - 17)
     for exponent in DIGIT_DECADES
     for j in range(math.ceil(10.0**exponent * 2 ** (17 - exponent)) | 1,
                    int(10.0 ** (exponent + 1) * 2 ** (17 - exponent)), 14)
 ])
-OFF_DIGIT_PATH = np.array([0.0, -0.0, 1.0, -1.0, 1e-6, -1e-6, 5e-324, 2.2250738585072009e-308,
-                           -1e-310])
+OFF_DIGIT_PATH = np.array([0.0, -0.0, 1.0, -1.0, 1e-16, -1e-16, 3e-17, 5e-324,
+                           2.2250738585072009e-308, -1e-310])
 
 
 @st.composite
 def digit_matrices(draw):
-    """Up to 6 by 200 values, mostly in +-[1e-7, 1): log-uniform, decade
+    """Up to 6 by 200 values, mostly in +-[1e-18, 1): log-uniform, decade
     neighbours and ties in drawn shares, with a drawn share of off-path values."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = rows * cols
-    values = 10.0 ** rng.uniform(-7.0, 0.0, size)
+    values = 10.0 ** rng.uniform(-18.0, 0.0, size)
     for pool, share in ((DECADE_NEIGHBOURS, draw(st.sampled_from([0.0, 0.1, 0.5]))),
                         (DIGIT_TIES, draw(st.sampled_from([0.0, 0.1, 0.5]))),
                         (OFF_DIGIT_PATH, draw(st.sampled_from([0.0, 0.0, 0.002, 0.05])))):
@@ -633,42 +635,103 @@ def test_digit_ties_lie_halfway_between_two_17_digit_decimals():
         assert (Fraction(x) * 10 ** (16 - decade)).denominator == 2
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_no_double_below_a_power_of_ten_rounds_up_to_it_at_17_digits(k):
-    # So no digit value needs a carry into the next decade: the largest double
-    # below 10**-k keeps 17 digits below it, and so does every smaller one.
-    below = math.nextafter(float(f"1e-{k}"), 0.0)
+def _largest_below_power(k):
+    """The largest double below 10**-k."""
+    nearest = float(f"1e-{k}")
+    return nearest if Fraction(nearest) < Fraction(1, 10**k) else math.nextafter(nearest, 0.0)
+
+
+def _written_as_the_per_value_writer(values, cols=64):
+    """format_matrix of ``values``, both signs, repeated into rows of ``cols``
+    (enough for the digit path) in C and Fortran order, against the reference."""
+    values = np.array(values + [-x for x in values])
+    matrix = np.resize(values, (max(2, -(-values.size // cols)), cols))
+    text = format_matrix(matrix)
+    assert text == reference_format_matrix(matrix)
+    assert format_matrix(np.asfortranarray(matrix)) == text
+    assert parse_matrix(text).tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_only_the_double_1e_14_rounds_up_a_decade_at_17_digits(k):
+    # The top of each digit decade, -1 - k: below 10**-14 the double 1e-14
+    # rounds up to it, so it carries into decade -14 and is written "1e-14";
+    # the largest double below any other power keeps 17 digits below it, and
+    # so does every smaller one.  The writer writes each as %.17g does.
+    below = _largest_below_power(k)
     assert below < Fraction(1, 10**k)
-    assert Fraction("%.17g" % below) < Fraction(1, 10**k)
+    assert (Fraction("%.17g" % below) >= Fraction(1, 10**k)) == (k == 14)
+    assert Fraction("%.17g" % math.nextafter(below, 0.0)) < Fraction(1, 10**k)
+    _written_as_the_per_value_writer(_neighbours(below, 3))
 
 
-@pytest.mark.parametrize("exponent", [-5, -6])
-def test_no_double_in_the_exponent_decades_is_written_with_one_digit(exponent):
-    # So every digit value there is written "d.ddd...e-0K".  It would need to
-    # lie within half a 17-digit unit of some d * 10**E; every double but the
-    # nearest and its neighbours lies more than an ulp, so further, away.
+def _one_digit_doubles(exponent):
+    """The doubles in decade ``exponent`` that %.17g writes with one digit."""
+    # Such a double lies within half a 17-digit unit of some d * 10**E; every
+    # double but the nearest and its neighbours lies more than an ulp, so
+    # further, away.
     half_unit = Fraction(10) ** (exponent - 16) / 2
+    found = []
     for d in range(1, 10):
         power = d * Fraction(10) ** exponent
         nearest = float(f"{d}e{exponent}")
         assert math.ulp(math.nextafter(nearest, 0.0)) > half_unit
         for x in _neighbours(nearest, 1):
-            if Fraction(x) >= Fraction(10) ** exponent:  # 1e-6 itself lies below
-                assert abs(Fraction(x) - power) > half_unit
-                assert "." in "%.17g" % x
+            if Fraction(10) ** exponent <= Fraction(x) < Fraction(10) ** (exponent + 1):
+                one = abs(Fraction(x) - power) < half_unit
+                assert one == ("." not in "%.17g" % x)
+                if one:
+                    found.append(x)
+    return found
 
 
-def test_the_double_1e_6_lies_below_the_digit_range_and_keeps_the_17g_spec():
-    # Its decade is -7, so the digit path, whose lowest decade is -6, starts
-    # at the next double up; written as decade -6 it would lose its digits.
-    above = math.nextafter(1e-6, 1.0)
-    assert Fraction(float("1e-6")) < Fraction(1, 10**6) < Fraction(above)
-    row = [0.5, 1e-6, -1e-6, above, -above, 2e-6] * 40
+@pytest.mark.parametrize("exponent", range(-5, -17, -1))
+def test_one_digit_doubles_in_the_exponent_decades_are_written_as_the_per_value_writer(exponent):
+    # None in decades -5 to -7, so every digit value there is written
+    # "d.ddd...e-0K"; below, each decade holds some, as 2e-08, which leave
+    # the "." out, and the writer writes them as %.17g does.
+    found = _one_digit_doubles(exponent)
+    assert (found == []) == (exponent >= -7)
+    nearest = [float(f"{d}e{exponent}") for d in range(1, 10)]
+    _written_as_the_per_value_writer([y for x in nearest for y in _neighbours(x, 1)])
+
+
+def test_the_digit_range_edges_one_digit_and_carried_values_keep_the_17g_bytes():
+    # The doubles 1e-6 and 1e-16 lie below their powers of ten: 1e-6 is a digit
+    # value of decade -7, and 1e-16, of decade -17, is below the range, which
+    # starts at the next double up.  2e-08 and 5e-15 keep one digit, and 1e-14
+    # carries into decade -14.
+    above = math.nextafter(1e-16, 1.0)
+    assert Fraction(float("1e-16")) < Fraction(1, 10**16) < Fraction(above)
+    row = [0.5, 1e-6, -1e-6, 1e-8, 2e-8, 5e-15, 1e-14, -1e-14, 1e-16, -1e-16, above, 2e-6] * 20
     matrix = np.array([row, row[::-1]])
     text = format_matrix(matrix)
     assert text == reference_format_matrix(matrix)
-    assert text.split()[3:5] == ["9.9999999999999995e-07", "-9.9999999999999995e-07"]
-    assert text.split()[5] == "%.17g" % above == "1.0000000000000002e-06"
+    assert format_matrix(np.asfortranarray(matrix)) == text
+    assert text.split()[3:14] == [
+        "9.9999999999999995e-07", "-9.9999999999999995e-07", "1e-08", "2e-08", "5e-15", "1e-14",
+        "-1e-14", "9.9999999999999998e-17", "-9.9999999999999998e-17", "1.0000000000000001e-16",
+        "1.9999999999999999e-06",
+    ]
+
+
+def test_values_near_a_tie_fall_back_to_their_17g_text(monkeypatch):
+    # Forced: with the tie bound at 0.5, every value in decades -7 to -16 lies
+    # within it of a half-integer, so each is its own '%.17g' text and takes
+    # no digits; the bytes stay those of the per-value writer.
+    rng = np.random.default_rng(28)
+    values = 10.0 ** rng.uniform(-16.0, 0.0, 1000) * rng.choice([-1.0, 1.0], 1000)
+    matrix = values.reshape(5, 200)
+    last = np.zeros(values.size, dtype=bool)
+    last[199::200] = True
+    # Unforced, every value but those %.17g writes with no "." takes digits.
+    _, number = games._digit_pieces(values, last)
+    assert number.size == sum("." in "%.17g" % x for x in values.tolist())
+    monkeypatch.setattr(games, "_SMALL_TIE", 0.5)
+    _, number = games._digit_pieces(values, last)
+    assert number.size == np.count_nonzero(np.abs(values) >= math.nextafter(1e-6, 1.0))
+    assert format_matrix(matrix) == reference_format_matrix(matrix)
+    assert format_matrix(np.asfortranarray(matrix)) == reference_format_matrix(matrix)
 
 
 def first_difference(text, expected):
@@ -703,7 +766,7 @@ def test_200_by_200_joints_are_written_as_the_per_value_writer(tmp_path, kind, s
     assert load_joint(path).mass.tobytes() == mass.tobytes()
     # Rows that mix in-range masses with values off the digit path.
     mixed = mass.copy()
-    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 2.5, -1.0, 1e300, 1e-6]
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 2.5, -1.0, 1e300, 1e-6, 1e-17]
     for r in range(0, 200, 7):
         mixed[r, np.arange(r, r + len(odd)) % 200] = odd
     mixed[1, 0] = 1e-5  # decade -5, written d.ddd...e-05, in the first column
@@ -741,7 +804,7 @@ def block_edge_matrix(case):
         return matrix
     # Rows that mix values in the range with every kind of value outside it,
     # in the last column too, and a row that holds no value in the range.
-    odd = [math.nan, math.inf, -math.inf, -0.0, 1.0, 5e-324, 3e-7]
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1.0, 5e-324, 3e-7, 3e-17]
     matrix = rng.uniform(-1.0, 1.0, (30, 40))
     for r in range(0, 30, 3):
         matrix[r, (np.arange(len(odd)) * 6 + 5 * r + 3) % 40] = odd
