@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import TwoEpsCheck, analyze, bound_slack, load_joint
-from .games import load_game, make_directory, make_zero_sum, save_game, write_files_atomic
+from .games import Game, load_game, make_directory, save_game, write_files_atomic
 from .learners import Algo, Averaging, self_play, trajectory_csv
 from .oracle import exact_value
 
@@ -52,7 +52,7 @@ def cmd_gen(args) -> int:
     for index in range(args.count):
         payoff = rng.uniform(-1.0, 1.0, size=(args.rows, args.cols))
         path = out / f"game_{args.seed}_{index}.txt"
-        save_game(make_zero_sum(payoff), path)
+        save_game(Game(payoff), path)
         print(path)
     return 0
 

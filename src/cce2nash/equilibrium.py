@@ -180,9 +180,11 @@ def marginal_profile(mu: JointDistribution) -> StrategyProfile:
 
 def expected_joint_utility(mu: JointDistribution, game: Game) -> float:
     """The row player's expected payoff when the cell is drawn from ``mu``; the
-    column player's is its negation."""
+    column player's is its negation.  It is summed on :attr:`Game.centered` and
+    the shift added back, as every self-play checkpoint's ``avg_row_payoff`` is."""
     _check_shape(game, mu.shape, "joint distribution")
-    return float((mu.mass * game.payoff).sum())
+    value = float((mu.mass * game.centered).sum())
+    return value + game.shift if game.shift else value
 
 
 def _best_deviation(ay: np.ndarray, xa: np.ndarray, base_row: float) -> GapReport:

@@ -194,7 +194,8 @@ class StrategyProfile:
 
 
 def make_zero_sum(payoff) -> Game:
-    """Build a zero-sum game from the row player's payoff matrix."""
+    """``Game(payoff)``.  Kept only because ``perfbench/bench.py`` imports it;
+    build a game with :class:`Game`."""
     return Game(payoff)
 
 
@@ -275,54 +276,53 @@ def _power_edge(k: int) -> float:
 # to 1e-5 lie just above the power of ten they stand for; 1e-6, 1e-14 and
 # 1e-16 are among those that lie below it.
 _POWER_EDGES = [_power_edge(k) for k in range(1, 17)]
-# A search among these edges gives each value x a code 0..11: 0..5 for x <=
-# -1e-1, ..., -1e-5 and < 0, 6..11 for x < 1e-5, 1e-4, ..., 1e-1 and 1, so
-# decade E = floor(log10 |x|) is -1 - code for codes 0..4, code - 12 for
-# 7..11, and -6 or below for codes 5 and 6.  Each negative edge is the double
-# next to -1e-k towards 0, so the search counts it for every x above -1e-k.
-# By code: what %.17g writes before the digits (decades -1 to -4, in fixed
-# notation), and 10**(16 - E), or 10**22 for codes 5 and 6, split into halves.
-# The decades -5 to -16 are written in exponent notation.
-_DIGIT_EDGES = np.array(
-    [-math.nextafter(edge, 0.0) for edge in _POWER_EDGES[:5]] + [0.0] + _POWER_EDGES[4::-1]
-)
-_DIGIT_SCALES = np.array([10.0**k for k in range(17, 23)] + [10.0**k for k in range(22, 16, -1)])
-_DIGIT_SCALE_HIGH, _DIGIT_SCALE_LOW = _split(_DIGIT_SCALES)
 # The range runs from the smallest double at or above 10**-16 up to 1.
 _DIGIT_LOW = _POWER_EDGES[15]
-# Below _SMALL_LOW, in decades -7 to -16, a search among _SMALL_EDGES gives
-# step = 16 + E, and 10**(16 - E) = 10**22 * _SMALL_SCALES[step], both exact.
-_SMALL_LOW = _POWER_EDGES[5]
-_SMALL_EDGES = np.array(_POWER_EDGES[14:5:-1])
-_SMALL_SCALES = np.array([10.0**k for k in range(10, 0, -1)])
-_SMALL_SCALE_HIGH, _SMALL_SCALE_LOW = _split(_SMALL_SCALES)
-# There, the fraction that rounds the last digit is off by at most 30.3 *
-# 2**-53 (see format_matrix), so one this near a half-integer may round wrong.
+# One search among these 31 signed edges gives each value x in the range a
+# code 0..31: 0..15 for x <= -1e-1, ..., -1e-15 and < 0, 16..31 for x <
+# 1e-15, ..., 1e-1 and 1.  Each negative edge is the double next to -1e-k
+# towards 0, so the search counts it for every x above -1e-k.
+_DIGIT_EDGES = np.array(
+    [-math.nextafter(edge, 0.0) for edge in _POWER_EDGES[:15]] + [0.0] + _POWER_EDGES[14::-1]
+)
+# By code: the sign and the decade E = floor(log10 |x|), -1 to -16 and then
+# -16 to -1.  Every table by code below is made from this one.
+_DECADES = [("-", -1 - code) for code in range(16)] + [("", code - 32) for code in range(16, 32)]
+# By code: 10**(16 - E) as the product of 10**min(22, 16 - E) and
+# 10**max(0, -6 - E), which is 1 for E >= -6; both are exact doubles, each
+# split into halves.
+_FIRST_SCALES = np.array([10.0 ** min(22, 16 - decade) for _, decade in _DECADES])
+_FIRST_HIGH, _FIRST_LOW = _split(_FIRST_SCALES)
+_SECOND_SCALES = np.array([10.0 ** max(0, -6 - decade) for _, decade in _DECADES])
+_SECOND_HIGH, _SECOND_LOW = _split(_SECOND_SCALES)
+# In decades -7 to -16, codes 6 to 25, the fraction that rounds the last
+# digit is off by at most 30.3 * 2**-53 (see format_matrix), so one this near
+# a half-integer may round wrong.
 _SMALL_TIE = 31 * 2.0**-53
 # Each value in the range is written as one piece of its block's format: what
 # %.17g writes before the digits, "%d" for them, any exponent, then " " or,
-# in the last column, "\n".  Fixed notation, by code (decades -1 to -4): the
-# sign, "0." and -E - 1 zeros.  Exponent notation, at 12 + 144 * slot + 16 *
-# (first - 1) + zeros, where slot is -E - 5 for a negative value and 7 - E
-# for a positive one: the sign, the first digit, "." and the zeros that lead
-# the other 16 digits, then after the digits "e-05" to "e-16".  A value whose
-# digits leave "." out, or carry into the next decade, has no piece (see
-# format_matrix).  Codes 4 to 7 have no piece of their own.  Each piece comes
-# twice, with " " and then with "\n".
+# in the last column, "\n".  Fixed notation, decades -1 to -4 (codes 0 to 3
+# and 28 to 31): the piece at its code, the sign, "0." and -E - 1 zeros; the
+# pieces at the other codes are empty.  Exponent notation, decades -5 to -16
+# (codes 4 to 27): at 32 + 144 * (code - 4) + 16 * (first - 1) + zeros, the
+# sign, the first digit, "." and the zeros that lead the other 16 digits,
+# then after the digits "e-05" to "e-16".  A value whose digits leave "."
+# out, or carry into the next decade, has no piece (see format_matrix).
+# Each piece comes twice, with " " and then with "\n".  The exponent pieces
+# are broadcast from the two signs (codes 4 to 15, then 16 to 27), which
+# makes fewer strings on the way than a prefix per code.
 _DIGIT_PIECES = np.concatenate([
-    np.array([[piece + sep for sep in (" ", "\n")]
-              for piece in ["-0." + "0" * zeros + "%d" for zeros in range(4)] + [""] * 4
-              + ["0." + "0" * zeros + "%d" for zeros in range(3, -1, -1)]],
-             dtype=object).ravel(),
+    np.array([[(f"{sign}0.{'0' * (-1 - decade)}%d" if decade >= -4 else "") + sep
+               for sep in (" ", "\n")] for sign, decade in _DECADES], dtype=object).ravel(),
     (np.array([[f"{sign}{first}." for first in range(1, 10)] for sign in ("-", "")],
               dtype=object)[:, None, :, None, None]
      + np.array(["0" * zeros + "%d" for zeros in range(16)], dtype=object)[:, None]
-     + np.array([[f"e-{k:02d}{sep}" for sep in (" ", "\n")] for k in range(5, 17)],
-                dtype=object)[:, None, None, :]).ravel(),
+     + np.array([[f"e{decade:03d}{sep}" for sep in (" ", "\n")] for _, decade in _DECADES[4:28]],
+                dtype=object).reshape(2, 12, 1, 1, 2)).ravel(),
 ])
-# By code, for codes 4 to 7 (decades -5 and -6): where the pieces of its slot
-# start, less 16 for the first digit, which is at least 1.
-_EXPONENT_BASES = np.array([0, 0, 0, 0, 0, 1, 13, 12, 0, 0, 0, 0]) * 144 + 12 - 16
+# By code, for codes 4 to 27: where the pieces of its decade start, less 16
+# for the first digit, which is at least 1.
+_EXPONENT_BASES = 32 + 144 * (np.arange(32) - 4) - 16
 # What %.17g writes for 0.0 and -0.0, by sign, each with " " and then "\n".
 _ZERO_PIECES = np.array(["0 ", "0\n", "-0 ", "-0\n"], dtype=object)
 _POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
@@ -361,36 +361,33 @@ def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.
     or its '%.17g' text, and the integers the pieces' ``%d``s write, in order.
     See :func:`format_matrix` for why the digits are those %.17g writes."""
     code = np.searchsorted(_DIGIT_EDGES, values, side="right")
-    magnitude = np.abs(values)
-    high, low = _two_product(magnitude, _DIGIT_SCALES.take(code),
-                             _DIGIT_SCALE_HIGH.take(code), _DIGIT_SCALE_LOW.take(code))
+    high, low = _two_product(np.abs(values), _FIRST_SCALES.take(code),
+                             _FIRST_HIGH.take(code), _FIRST_LOW.take(code))
     number = high.astype(np.int64)
     number += np.rint(low).astype(np.int64)
     index = code  # a code of fixed notation is its piece
     text = np.zeros(0, dtype=np.intp)  # values written as their '%.17g' text
-    at = np.flatnonzero((code >= 4) & (code < 8))  # exponent notation
+    at = np.flatnonzero((code >= 4) & (code < 28))  # exponent notation
     if at.size:
-        base = _EXPONENT_BASES.take(code[at])
-        small = np.flatnonzero(magnitude.take(at) < _SMALL_LOW)  # decades -7 to -16
+        codes = code[at]
+        small = np.flatnonzero((codes >= 6) & (codes < 26))  # decades -7 to -16
         if small.size:
-            where = at[small]
-            step = np.searchsorted(_SMALL_EDGES, magnitude[where], side="right")
-            scale = _SMALL_SCALES.take(step)
-            top, fraction = _two_product(high[where], scale, _SMALL_SCALE_HIGH.take(step),
-                                         _SMALL_SCALE_LOW.take(step))
+            where, codes = at[small], codes[small]
+            scale = _SECOND_SCALES.take(codes)
+            top, fraction = _two_product(high[where], scale, _SECOND_HIGH.take(codes),
+                                         _SECOND_LOW.take(codes))
             fraction += low[where] * scale
             digits = top.astype(np.int64)
             digits += np.rint(fraction).astype(np.int64)
             number[where] = digits
-            base[small] += 144 * (10 - step)
             # A near tie, one digit or a carry into the next decade.
             off = (np.abs(fraction - np.floor(fraction) - 0.5) <= _SMALL_TIE) | (digits % 10**16 == 0)
             if off.any():
                 text = where[off]
-                at, base = np.delete(at, small[off]), np.delete(base, small[off])
+                at = np.delete(at, small[off])
         first, rest = np.divmod(number[at], 10**16)
         zeros = 16 - np.searchsorted(_POWERS_OF_TEN, rest, side="right")
-        index[at] = base + 16 * first + zeros
+        index[at] = _EXPONENT_BASES.take(code[at]) + 16 * first + zeros
         number[at] = rest
     # %g drops trailing zeros; few values have any.  No rest is 0 (see
     # format_matrix), but the loop drops a 0 rather than divide it for ever.
@@ -448,10 +445,11 @@ def format_matrix(matrix: np.ndarray) -> str:
     """Render a matrix in the shared text format with full round-trip precision.
 
     Each value is written as ``'%.17g'`` writes it.  A value in 1e-16 <= |x| < 1
-    is written from exact integer digits, with the same bytes.  Comparing with
-    the smallest double at or above each 10**-k (the double 1e-k, or the next
-    one up where 1e-k lies below 10**-k, as 1e-6, 1e-14 and 1e-16 do) settles
-    E = floor(log10 |x|) in [-16, -1] exactly.  For E >= -6, 10**(16 - E) <=
+    is written from exact integer digits, with the same bytes.  One search among
+    0 and minus and plus the smallest double at or above each 10**-k (the
+    double 1e-k, or the next one up where 1e-k lies below 10**-k, as 1e-6,
+    1e-14 and 1e-16 do) gives it one code that settles its sign and E =
+    floor(log10 |x|) in [-16, -1] exactly.  For E >= -6, 10**(16 - E) <=
     10**22 is an exact double, and Dekker's two-product gives |x| * 10**(16 -
     E) = h + l exactly.  h >= 10**16 > 2**53 is an even integer, so h + rint(l)
     is the product rounded half to even, as %.17g rounds it: 17 digits, less
@@ -497,7 +495,7 @@ def parse_game(text: str) -> Game:
     """Parse a game from its text format; a payoff range ``Game`` refuses is a FormatError."""
     payoff = parse_matrix(text, what="game")
     try:
-        return make_zero_sum(payoff)
+        return Game(payoff)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

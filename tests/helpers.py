@@ -9,7 +9,6 @@ from cce2nash import (
     JointDistribution,
     MixedStrategy,
     StrategyProfile,
-    make_zero_sum,
     marginal_profile,
 )
 from cce2nash import oracle
@@ -19,7 +18,7 @@ from cce2nash.games import PROB_SUM_TOL, _check_shape
 def random_game(rng: np.random.Generator, max_dim: int = 20) -> Game:
     rows = int(rng.integers(1, max_dim + 1))
     cols = int(rng.integers(1, max_dim + 1))
-    return make_zero_sum(rng.uniform(-1.0, 1.0, size=(rows, cols)))
+    return Game(rng.uniform(-1.0, 1.0, size=(rows, cols)))
 
 
 def random_joint(rng: np.random.Generator, shape) -> JointDistribution:
@@ -142,9 +141,9 @@ def reference_check_brute_shape(mu: JointDistribution, game: Game) -> None:
         )
 
 
-PENNIES = make_zero_sum([[1.0, -1.0], [-1.0, 1.0]])
-RPS = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-ASYM = make_zero_sum([[3.0, -1.0], [-2.0, 1.0]])  # value 1/7, no saddle point
+PENNIES = Game([[1.0, -1.0], [-1.0, 1.0]])
+RPS = Game([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+ASYM = Game([[3.0, -1.0], [-2.0, 1.0]])  # value 1/7, no saddle point
 
 
 def bimatrix_gains(row_payoff, col_payoff, mass) -> tuple[float, float, float, float]:

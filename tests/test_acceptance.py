@@ -13,12 +13,12 @@ import pytest
 
 from cce2nash import (
     Algo,
+    Game,
     StrategyProfile,
     brute_force_gaps,
     cce_gap,
     exact_value,
     expected_joint_utility,
-    make_zero_sum,
     marginal_profile,
     nash_gap,
     self_play,
@@ -149,7 +149,7 @@ def test_criterion_4_oracles_agree_with_the_fast_paths():
     for _ in range(200):
         rows = int(rng.integers(1, 51))
         cols = int(rng.integers(1, 51))
-        g = make_zero_sum(rng.uniform(-1.0, 1.0, size=(rows, cols)))
+        g = Game(rng.uniform(-1.0, 1.0, size=(rows, cols)))
         sol = exact_value(g)
         profile = StrategyProfile(sol.row_strategy, sol.col_strategy)
         worst_nash = max(worst_nash, nash_gap(profile, g).epsilon)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cce2nash import (
-    TwoEpsCheck, analyze, exact_value, load_game, load_joint, make_zero_sum, save_game,
+    Game, TwoEpsCheck, analyze, exact_value, load_game, load_joint, save_game,
 )
 from cce2nash.cli import main
 from helpers import ASYM, PENNIES
@@ -186,7 +186,7 @@ def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
 
     monkeypatch.setattr(cli_mod, "self_play", no_self_play)
     game = tmp_path / "wide.txt"
-    save_game(make_zero_sum(np.zeros((3, 201))), game)
+    save_game(Game(np.zeros((3, 201))), game)
     out = tmp_path / "run"
     assert main(["learn", "--game", str(game), "--iters", "10", "--out", str(out)]) == 2
     assert "200" in capsys.readouterr().err
@@ -289,7 +289,7 @@ def test_learn_ratio_does_not_depend_on_the_payoff_scale(tmp_path, scale):
 
     def summary(factor, name):
         path = tmp_path / f"{name}.txt"
-        save_game(make_zero_sum(factor * payoff), path)
+        save_game(Game(factor * payoff), path)
         out = tmp_path / name
         assert main(["learn", "--game", str(path), "--iters", "2000", "--out", str(out)]) == 0
         return json.loads((out / "summary.json").read_text())
@@ -303,7 +303,7 @@ def test_learn_ratio_does_not_depend_on_the_payoff_scale(tmp_path, scale):
 
 def test_learn_ratio_of_a_flat_game_is_zero(tmp_path):
     path = tmp_path / "flat.txt"
-    save_game(make_zero_sum(np.full((3, 2), 1e-300)), path)
+    save_game(Game(np.full((3, 2), 1e-300)), path)
     out = tmp_path / "run"
     assert main(["learn", "--game", str(path), "--iters", "50", "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["ratio"] == 0.0
@@ -520,7 +520,7 @@ def test_an_exact_cce_at_a_large_offset_passes_check_and_learn(tmp_path, capsys)
     joint = write(tmp_path, "uniform.txt", OFFSET_UNIFORM_TEXT)
     assert main(["check", "--game", game, "--joint", joint, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    centered = analyze(load_joint(joint), make_zero_sum(load_game(game).payoff - 999999998.5))
+    centered = analyze(load_joint(joint), Game(load_game(game).payoff - 999999998.5))
     assert report["cce"]["epsilon"] == centered.cce.epsilon
     assert report["nash_of_marginals"]["epsilon"] == centered.nash_of_marginals.epsilon
     assert report["tolerance"] == 1e-9 * 1e9

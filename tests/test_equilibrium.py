@@ -50,7 +50,7 @@ def circulant(first_row) -> Game:
     """Row ``i`` is ``first_row`` rolled right by ``i``.  Every row and column
     holds the same payoffs, so the uniform joint is an exact CCE whose marginals
     are an exact Nash profile."""
-    return make_zero_sum([np.roll(first_row, i) for i in range(len(first_row))])
+    return Game([np.roll(first_row, i) for i in range(len(first_row))])
 
 
 def uniform_joint(game: Game) -> JointDistribution:
@@ -71,7 +71,7 @@ def scaled_instances(draw):
         mu = random_joint(rng, game.shape)
     offset = draw(st.sampled_from([0.0, 1e9, 1e12]))
     magnitude = 10.0 ** draw(st.integers(-200, 200))
-    return make_zero_sum((game.payoff + offset) * magnitude), mu
+    return Game((game.payoff + offset) * magnitude), mu
 
 
 # --- JointDistribution type ---------------------------------------------------
@@ -143,7 +143,7 @@ def test_expected_joint_utility_point_mass_is_the_cell_payoff():
 
 def test_shape_mismatch_is_rejected_naming_both_shapes():
     with pytest.raises(ValueError, match="2x2 but game is 2x3"):
-        expected_joint_utility(DIAG, make_zero_sum(np.zeros((2, 3))))
+        expected_joint_utility(DIAG, Game(np.zeros((2, 3))))
 
 
 def refusal(check):
@@ -159,7 +159,7 @@ def refusal(check):
     ((1, 1), (1, 2)), ((4, 2), (4, 2)),
 ])
 def test_one_shape_check_matches_the_three_reference_checks(game_shape, shape):
-    game = make_zero_sum(np.arange(float(np.prod(game_shape))).reshape(game_shape))
+    game = Game(np.arange(float(np.prod(game_shape))).reshape(game_shape))
     mu = JointDistribution(np.full(shape, 1.0 / np.prod(shape)))
     profile = StrategyProfile(uniform(shape[0]), uniform(shape[1]))
     joint = refusal(lambda: reference_check_joint_shape(mu, game))
@@ -182,7 +182,7 @@ def test_deviation_value_diagonal_pennies_row_point_mass():
 
 
 def test_deviation_value_one_by_one():
-    g = make_zero_sum([[0.7]])
+    g = Game([[0.7]])
     mu = JointDistribution([[1.0]])
     assert deviation_value(mu, g, "row", MixedStrategy([1.0])) == 0.7
 
@@ -231,11 +231,11 @@ def test_cce_gap_uniform_product_is_zero():
 
 def test_cce_gap_one_by_one():
     mu = JointDistribution([[1.0]])
-    assert cce_gap(mu, make_zero_sum([[3.0]])).epsilon == 0.0
+    assert cce_gap(mu, Game([[3.0]])).epsilon == 0.0
 
 
 def test_cce_gap_tie_breaks_to_lowest_index():
-    g = make_zero_sum([[1.0, -1.0], [1.0, -1.0]])  # both rows identical
+    g = Game([[1.0, -1.0], [1.0, -1.0]])  # both rows identical
     mu = JointDistribution(np.full((2, 2), 0.25))
     assert cce_gap(mu, g).row_deviation == 0
 
@@ -277,13 +277,13 @@ def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big, tmp_path):
         load_game(path)
     # Just inside the limit the gaps are scored, without overflow.
     mu = JointDistribution([[0.0, 1.0], [0.0, 0.0]])
-    report = analyze(mu, make_zero_sum([[4e307, -4e307], [-4e307, 4e307]]))
+    report = analyze(mu, Game([[4e307, -4e307], [-4e307, 4e307]]))
     assert report.cce.epsilon == 8e307 and report.two_eps.holds
 
 
 def test_gap_report_epsilon_clips_at_zero():
     mu = product(uniform(3), uniform(3))
-    g = make_zero_sum([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    g = Game([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
     report = cce_gap(mu, g)
     assert report.epsilon == 0.0
     assert report.epsilon >= report.row_gain and report.epsilon >= report.col_gain
@@ -326,7 +326,7 @@ def test_swapping_the_players_trades_their_gains():
         g = random_game(rng, max_dim=7)
         mu = random_joint(rng, g.shape)
         report = analyze(mu, g)
-        swapped = analyze(JointDistribution(mu.mass.T), make_zero_sum(-g.payoff.T))
+        swapped = analyze(JointDistribution(mu.mass.T), Game(-g.payoff.T))
         tol = 4 * np.spacing(g.payoff_range)
         for mine, theirs in ((report.cce, swapped.cce),
                              (report.nash_of_marginals, swapped.nash_of_marginals)):
@@ -363,7 +363,7 @@ def test_both_bounds_hold_on_random_instances(instance):
     # routes on the payoffs it scores, the game minus its shift
     report, profile = analyze(mu, game), marginal_profile(mu)
     assert report.nash_of_marginals == nash_gap(profile, game)
-    centered = make_zero_sum(game.payoff - game.shift)
+    centered = Game(game.payoff - game.shift)
     x, y = profile.row.probs, profile.col.probs
     assert report.value_consistency.lhs == abs(
         expected_joint_utility(mu, centered) - float(x @ centered.payoff @ y)
@@ -375,7 +375,7 @@ def test_both_bounds_hold_on_random_instances(instance):
 def test_verdicts_do_not_depend_on_a_power_of_two_payoff_scale(instance, k):
     game, mu = instance
     report = analyze(mu, game)
-    scaled = analyze(mu, make_zero_sum(game.payoff * 2.0**k))
+    scaled = analyze(mu, Game(game.payoff * 2.0**k))
     # Both bounds hold on every joint, exact equilibria at large offsets included.
     assert report.value_consistency.holds and report.two_eps.holds
     assert scaled.value_consistency.holds == report.value_consistency.holds
@@ -409,7 +409,7 @@ def tightness_witness(k, scale, offset):
     for i in range(k):
         mass[i, i] = a
         mass[i, (i + 1) % k] = 1.0 / k - a
-    return make_zero_sum(payoff), JointDistribution(mass)
+    return Game(payoff), JointDistribution(mass)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
@@ -447,7 +447,7 @@ def small_instances(draw):
     payoff = draw(arrays(float, (rows, cols), elements=entries))
     weights = draw(arrays(np.int64, (rows, cols), elements=st.integers(0, 8)))
     assume(weights.any())
-    return make_zero_sum(payoff), JointDistribution(weights / weights.sum())
+    return Game(payoff), JointDistribution(weights / weights.sum())
 
 
 @settings(max_examples=300, deadline=None)
@@ -495,7 +495,7 @@ def test_gaps_are_shift_invariant():
         g = random_game(rng, max_dim=8)
         mu = random_joint(rng, g.shape)
         k = float(rng.uniform(-5.0, 5.0))
-        shifted = make_zero_sum(g.payoff + k)
+        shifted = Game(g.payoff + k)
         assert cce_gap(mu, g).epsilon == pytest.approx(
             cce_gap(mu, shifted).epsilon, abs=1e-9
         )

@@ -25,7 +25,6 @@ from cce2nash import (
     format_game,
     load_game,
     load_joint,
-    make_zero_sum,
     nash_gap,
     parse_game,
     parse_joint,
@@ -51,7 +50,7 @@ def pure_profile(game, r, c):
 # --- construction -----------------------------------------------------------
 
 
-def test_make_zero_sum_negates_for_column_player():
+def test_the_column_player_gets_the_negated_payoff():
     # At (0, 0) of pennies the column player gets -1, and 1 by switching to column 1.
     report = nash_gap(pure_profile(PENNIES, 0, 0), PENNIES)
     assert (report.col_gain, report.col_deviation) == (2.0, 1)
@@ -61,7 +60,7 @@ def test_make_zero_sum_negates_for_column_player():
 
 
 def test_one_by_one_zero_game():
-    g = make_zero_sum([[0.0]])
+    g = Game([[0.0]])
     assert g.shape == (1, 1)
     assert expected_joint_utility(JointDistribution([[1.0]]), g) == 0.0
     assert nash_gap(pure_profile(g, 0, 0), g).epsilon == 0.0
@@ -69,27 +68,29 @@ def test_one_by_one_zero_game():
 
 def test_rejects_non_finite_entry_naming_cell():
     with pytest.raises(ValueError, match=r"row 1, column 0"):
-        make_zero_sum([[1.0, 2.0], [np.nan, 3.0]])
+        Game([[1.0, 2.0], [np.nan, 3.0]])
     with pytest.raises(ValueError, match=r"row 0, column 1"):
-        make_zero_sum([[0.0, np.inf]])
+        Game([[0.0, np.inf]])
 
 
 def test_rejects_empty_matrix():
     with pytest.raises(ValueError):
-        make_zero_sum(np.empty((0, 3)))
+        Game(np.empty((0, 3)))
     with pytest.raises(ValueError):
-        make_zero_sum([[]])
+        Game([[]])
 
 
 def test_payoff_is_read_only():
-    g = make_zero_sum([[1.0, -1.0]])
+    g = Game([[1.0, -1.0]])
     with pytest.raises(ValueError):
         g.payoff[0, 0] = 5.0
 
 
 def test_game_equality():
-    assert make_zero_sum([[1.0, 2.0]]) == make_zero_sum([[1.0, 2.0]])
-    assert make_zero_sum([[1.0, 2.0]]) != make_zero_sum([[1.0, 3.0]])
+    assert Game([[1.0, 2.0]]) == Game([[1.0, 2.0]])
+    assert Game([[1.0, 2.0]]) != Game([[1.0, 3.0]])
+    # make_zero_sum, kept for the benchmark, is Game.
+    assert games.make_zero_sum([[1.0, 2.0]]) == Game([[1.0, 2.0]])
 
 
 def test_joint_distribution_equality():
@@ -97,8 +98,18 @@ def test_joint_distribution_equality():
     assert JointDistribution([[0.5, 0.0], [0.0, 0.5]]) != JointDistribution([[0.0, 0.5], [0.5, 0.0]])
 
 
+def test_mixed_strategy_and_profile_equality():
+    assert MixedStrategy([0.25, 0.75]) == MixedStrategy([0.25, 0.75])
+    assert MixedStrategy([0.25, 0.75]) != MixedStrategy([0.75, 0.25])
+    assert MixedStrategy([1.0]) != MixedStrategy([1.0, 0.0])
+    profile = StrategyProfile(MixedStrategy([0.5, 0.5]), MixedStrategy([1.0]))
+    assert profile == StrategyProfile(MixedStrategy([0.5, 0.5]), MixedStrategy([1.0]))
+    assert profile != StrategyProfile(MixedStrategy([0.5, 0.5]), MixedStrategy([0.0, 1.0]))
+    assert profile != StrategyProfile(MixedStrategy([1.0]), MixedStrategy([1.0]))
+
+
 @pytest.mark.parametrize("value", [
-    make_zero_sum([[1.0, 2.0]]), MixedStrategy([0.5, 0.5]), JointDistribution([[1.0]]),
+    Game([[1.0, 2.0]]), MixedStrategy([0.5, 0.5]), JointDistribution([[1.0]]),
 ], ids=["Game", "MixedStrategy", "JointDistribution"])
 def test_equality_with_another_type_is_false(value):
     assert (value == 3) is False
@@ -107,11 +118,11 @@ def test_equality_with_another_type_is_false(value):
 
 def test_payoff_range():
     assert ASYM.payoff_range == 5.0
-    assert make_zero_sum([[2.0]]).payoff_range == 0.0
+    assert Game([[2.0]]).payoff_range == 0.0
 
 
 def shift(payoff):
-    return make_zero_sum(payoff).shift
+    return Game(payoff).shift
 
 
 def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it():
@@ -126,7 +137,7 @@ def test_shift_is_the_midpoint_only_when_every_payoff_is_within_a_factor_2_of_it
 
 
 def test_centered_subtracts_the_shift_and_copies_nothing_when_it_is_0():
-    g = make_zero_sum([[2.0, 4.0]])
+    g = Game([[2.0, 4.0]])
     assert np.array_equal(g.centered, [[-1.0, 1.0]])
     assert PENNIES.centered is PENNIES.payoff
 
@@ -367,7 +378,7 @@ def test_non_finite_values_are_rejected_with_their_line(parse, text, line, token
 
 
 def test_save_load_round_trip(tmp_path):
-    g = make_zero_sum([[1.0 / 3.0, -0.25], [math.pi, 1e-17]])
+    g = Game([[1.0 / 3.0, -0.25], [math.pi, 1e-17]])
     path = tmp_path / "g.txt"
     save_game(g, path)
     assert load_game(path) == g
@@ -633,6 +644,18 @@ def test_digit_ties_lie_halfway_between_two_17_digit_decimals():
         decade = next(e for e in DIGIT_DECADES[::-1] if Fraction(x) >= Fraction(10) ** e)
         assert Fraction(x) < Fraction(10) ** (decade + 1)
         assert (Fraction(x) * 10 ** (16 - decade)).denominator == 2
+
+
+def test_one_search_gives_each_digit_value_its_sign_and_decade():
+    # The doubles either side of each edge at +-10**-k, and some inside each
+    # decade, get the code whose entry is their sign and exact floor(log10 |x|).
+    values = [y for k in range(17) for x in (float(f"1e-{k}"), float(f"3e-{k}"))
+              for y in _neighbours(x, 2)]
+    values = [x for x in values + [-x for x in values] if games._DIGIT_LOW <= abs(x) < 1.0]
+    codes = np.searchsorted(games._DIGIT_EDGES, values, side="right")
+    for x, code in zip(values, codes.tolist()):
+        decade = next(e for e in DIGIT_DECADES[::-1] if abs(Fraction(x)) >= Fraction(10) ** e)
+        assert games._DECADES[code] == ("-" if x < 0 else "", decade), x
 
 
 def _largest_below_power(k):

@@ -17,7 +17,6 @@ from cce2nash import (
     analyze,
     cce_gap,
     expected_joint_utility,
-    make_zero_sum,
     marginal_profile,
     nash_gap,
     self_play,
@@ -270,7 +269,7 @@ def test_expected_self_play_makes_no_generator(monkeypatch):
         raise AssertionError("expected averaging made a generator")
 
     monkeypatch.setattr("cce2nash.learners.np.random.default_rng", no_generator)
-    wide = make_zero_sum([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.0]])
+    wide = Game([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.0]])
     for game in (ASYM, wide):
         for algo in Algo:
             self_play(game, algo, iters=130, seed=4, log_every=50)
@@ -311,11 +310,24 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     assert final.nash_eps == nash_gap(marginal_profile(result.empirical_joint), PENNIES).epsilon
     assert final.avg_row_payoff == expected_joint_utility(result.empirical_joint, PENNIES)
     # Every intermediate checkpoint is the public route on the joint of that round.
-    g = make_zero_sum(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
+    g = Game(np.random.default_rng(53).uniform(-1.0, 1.0, size=(5, 7)))
     for averaging in Averaging:
         result = self_play(g, RM, iters=300, seed=4, averaging=averaging, log_every=37)
         assert [c.t for c in result.trajectory] == [*range(37, 300, 37), 300]
         assert result.trajectory == reference_run(g, RM, RM, 300, 4, averaging, 37)[1]
+
+
+@pytest.mark.parametrize("offset", [1e3, -1e14])
+def test_the_joint_utility_of_an_offset_game_is_the_last_checkpoint_payoff(offset):
+    # Both sum the joint on the centered payoffs and add the shift back.  Summed
+    # on the raw payoffs the joint utility was up to 3 ulps off at 1e3 and 2
+    # ulps, 0.03, off at 1e14.
+    for seed in range(20):
+        g = Game(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, 5)) + offset)
+        result = self_play(g, RM, iters=100, seed=seed)
+        assert result.trajectory[-1].avg_row_payoff == expected_joint_utility(
+            result.empirical_joint, g
+        ), seed
 
 
 def reference_play(game, algo, col_algo, iters):
@@ -366,7 +378,7 @@ def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
         return acc / acc.sum()
 
     shift = game.shift
-    centered = make_zero_sum(game.payoff - shift)
+    centered = Game(game.payoff - shift)
     trajectory = []
     for t in [*range(log_every, iters, log_every), iters]:
         mu = JointDistribution(joint(t))
@@ -381,11 +393,11 @@ def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
 def reference_game(name):
     rng = np.random.default_rng(53)
     if name == "ties 5x7":  # exact-zero regrets, which RM+ plays as they are
-        return make_zero_sum(rng.integers(-1, 2, size=(5, 7)).astype(float))
+        return Game(rng.integers(-1, 2, size=(5, 7)).astype(float))
     if name == "fortran 5x7":
-        return make_zero_sum(np.asfortranarray(rng.uniform(-1.0, 1.0, size=(5, 7))))
+        return Game(np.asfortranarray(rng.uniform(-1.0, 1.0, size=(5, 7))))
     shape = tuple(int(n) for n in name.split("x"))
-    return make_zero_sum(rng.uniform(-1.0, 1.0, size=shape))
+    return Game(rng.uniform(-1.0, 1.0, size=shape))
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
@@ -421,7 +433,7 @@ def self_play_instances(draw):
         payoff = rng.uniform(-1.0, 1.0, size=(rows, cols))
     else:
         payoff = rng.integers(-1, 2, size=(rows, cols)).astype(float)
-    game = make_zero_sum(payoff * 2.0 ** draw(st.integers(-60, 60)))
+    game = Game(payoff * 2.0 ** draw(st.integers(-60, 60)))
     algo, col_algo = draw(st.sampled_from(list(Algo))), draw(st.sampled_from(list(Algo)))
     iters = draw(st.integers(1, 130))
     return game, algo, col_algo, iters, draw(st.sampled_from(list(Averaging))), draw(
@@ -442,7 +454,7 @@ def test_self_play_matches_the_reference_rules_bitwise(instance):
 @pytest.mark.parametrize("averaging", list(Averaging))
 @pytest.mark.parametrize("iters", [63, 64, 65, 700])
 def test_joint_and_final_checkpoint_do_not_depend_on_log_every(averaging, iters):
-    g = make_zero_sum(np.random.default_rng(61).uniform(-1.0, 1.0, size=(4, 6)))
+    g = Game(np.random.default_rng(61).uniform(-1.0, 1.0, size=(4, 6)))
     runs = [self_play(g, MW, iters=iters, seed=5, averaging=averaging, log_every=every)
             for every in (1, 7, 64, 1000)]
     for run in runs[1:]:
@@ -461,7 +473,7 @@ def test_block_joint_is_within_the_blocked_summation_bound_of_the_exact_sum(iter
     # first order it errs by at most 64 + ceil(T/64) roundings (Higham,
     # Accuracy and Stability of Numerical Algorithms, 4.2); the normalization
     # adds one.  The errors measured here stay far below that.
-    g = make_zero_sum(np.random.default_rng(67).uniform(-1.0, 1.0, size=(6, 5)))
+    g = Game(np.random.default_rng(67).uniform(-1.0, 1.0, size=(6, 5)))
     result = self_play(g, RM_PLUS, iters=iters, col_algo=MW)
     rounds = list(reference_play(g, RM_PLUS, MW, iters))
     cells = np.array([[math.fsum(x[r] * y[c] for x, y in rounds) for c in range(g.cols)]
@@ -611,8 +623,8 @@ def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
     # none of the payoff differences it learns from.  Without the shift the
     # gap read 2.3 times that of the same game at offset 0.
     base = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8))
-    g = make_zero_sum(base + offset)
-    at_zero = make_zero_sum(g.payoff - offset)  # exact, by Sterbenz
+    g = Game(base + offset)
+    at_zero = Game(g.payoff - offset)  # exact, by Sterbenz
     eps = self_play(g, MW, iters=3000).trajectory[-1].cce_eps
     assert eps <= 1.1 * self_play(at_zero, MW, iters=3000).trajectory[-1].cce_eps
 
@@ -620,10 +632,10 @@ def test_mw_keeps_its_gap_on_a_game_offset_far_from_zero(offset):
 def test_checkpoints_score_an_offset_game_on_its_shifted_payoffs():
     # Scored on the raw payoffs near -1e14, each gain is the difference of two
     # numbers rounded to ulp(1e14) = 0.0156, and cce_eps read 0.046875.
-    g = make_zero_sum(np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8)) - 1e14)
+    g = Game(np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 8)) - 1e14)
     result = self_play(g, MW, iters=3000)
     final = result.trajectory[-1]
-    report = analyze(result.empirical_joint, make_zero_sum(g.payoff - g.shift))
+    report = analyze(result.empirical_joint, Game(g.payoff - g.shift))
     assert final.cce_eps == report.cce.epsilon < 0.016
     assert final.nash_eps == report.nash_of_marginals.epsilon
 
@@ -631,7 +643,7 @@ def test_checkpoints_score_an_offset_game_on_its_shifted_payoffs():
 def test_rm_meets_its_bound_at_the_largest_payoff_scales():
     # Cumulative regrets of a game scaled by 1e307 overflow unless the rules run
     # on power-of-two-scaled payoffs; inf regrets stall RM far above its bound.
-    g = make_zero_sum(np.random.default_rng(59).uniform(-1.0, 1.0, size=(5, 5)) * 1e307)
+    g = Game(np.random.default_rng(59).uniform(-1.0, 1.0, size=(5, 5)) * 1e307)
     iters = 2000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -649,7 +661,7 @@ def test_mw_runs_clean_when_the_shorter_players_weights_underflow(shape):
     # configuration fails on that RuntimeWarning.
     payoff = np.ones(shape)
     payoff[0, 0] = 0.0
-    g = make_zero_sum(payoff if shape[0] > shape[1] else -payoff)
+    g = Game(payoff if shape[0] > shape[1] else -payoff)
     iters = 70_000
     result = self_play(g, MW, iters=iters, log_every=iters)
     marginals = marginal_profile(result.empirical_joint)

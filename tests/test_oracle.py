@@ -13,7 +13,6 @@ from cce2nash import (
     brute_force_gaps,
     cce_gap,
     exact_value,
-    make_zero_sum,
     marginal_profile,
     nash_gap,
     self_play,
@@ -67,13 +66,13 @@ def test_asym_game_grid_refinement_cross_check():
 
 
 def test_one_by_one_game_value_is_the_entry():
-    sol = exact_value(make_zero_sum([[-2.5]]))
+    sol = exact_value(Game([[-2.5]]))
     assert sol.value == pytest.approx(-2.5, abs=1e-12)
     assert sol.row_strategy.probs[0] == 1.0
 
 
 def test_flat_game_value():
-    sol = exact_value(make_zero_sum(np.full((3, 4), 0.75)))
+    sol = exact_value(Game(np.full((3, 4), 0.75)))
     assert sol.value == pytest.approx(0.75, abs=1e-9)
 
 
@@ -101,19 +100,19 @@ def test_strong_duality_on_random_games():
 def test_exact_value_is_a_python_float():
     for game in (PENNIES, ASYM):
         assert type(exact_value(game).value) is float
-    assert repr(exact_value(make_zero_sum([[3.0]]))).startswith("ValueSolution(value=3.0,")
+    assert repr(exact_value(Game([[3.0]]))).startswith("ValueSolution(value=3.0,")
 
 
 def test_exact_value_rejects_oversized_games():
     with pytest.raises(ValueError, match="200x200"):
-        exact_value(make_zero_sum(np.zeros((201, 3))))
+        exact_value(Game(np.zeros((201, 3))))
 
 
 def test_exact_value_rejects_a_payoff_range_of_2_to_the_1023():
     for big in (1e308, 2.0**1022):
         with pytest.raises(ValueError, match="rescale the game"):
-            exact_value(make_zero_sum([[big, -big], [-big, big]]))
-    sol = exact_value(make_zero_sum([[4e307, -4e307], [-4e307, 4e307]]))
+            exact_value(Game([[big, -big], [-big, big]]))
+    sol = exact_value(Game([[4e307, -4e307], [-4e307, 4e307]]))
     assert abs(sol.value) <= 1e-12 * 8e307
     assert np.allclose(sol.row_strategy.probs, [0.5, 0.5], atol=1e-12)
 
@@ -156,7 +155,7 @@ def test_condensed_tableau_matches_the_full_tableau_bitwise(monkeypatch, family,
         rng = np.random.default_rng([rows, cols, len(family)])
         for _ in range(2):
             payoff = build(rng, rows, cols)
-            game = make_zero_sum(payoff)
+            game = Game(payoff)
             B = (payoff - game.low) / game.scale + 1.0
             budget = 100 * (rows + cols + 2)
             z, duals, pivots = _simplex_max_ones(B, budget)
@@ -185,10 +184,10 @@ def test_exact_value_is_scale_invariant(seed, rows, cols, exponent, offset):
     # The offset is drawn in units of c: an offset far above c·range would
     # round the scaled payoffs themselves away.
     d = offset * c
-    scaled = make_zero_sum(c * payoff + d)
+    scaled = Game(c * payoff + d)
     tol = 1e-7 * c * (float(payoff.max() - payoff.min()) or 1.0)
     sol = exact_value(scaled)
-    assert abs(sol.value - (c * exact_value(make_zero_sum(payoff)).value + d)) <= tol
+    assert abs(sol.value - (c * exact_value(Game(payoff)).value + d)) <= tol
     assert _nash_eps(sol, scaled) <= tol
 
 
@@ -199,7 +198,7 @@ def test_exact_value_is_scale_invariant(seed, rows, cols, exponent, offset):
 )
 @pytest.mark.parametrize("run", [0, 3])
 def test_bland_fallback_reaches_the_priced_optimum(monkeypatch, payoff, run):
-    game = make_zero_sum(payoff)
+    game = Game(payoff)
     priced = exact_value(game)
     # run 0 prices every pivot by Bland's rule; run 3 switches back and forth
     monkeypatch.setattr(oracle, "_DEGENERATE_RUN", run)
@@ -210,7 +209,7 @@ def test_bland_fallback_reaches_the_priced_optimum(monkeypatch, payoff, run):
 
 
 def test_steepest_edge_takes_fewer_pivots_than_bland(monkeypatch):
-    game = make_zero_sum(np.random.default_rng(50).uniform(-1.0, 1.0, size=(50, 50)))
+    game = Game(np.random.default_rng(50).uniform(-1.0, 1.0, size=(50, 50)))
     steepest = exact_value(game).pivots
     monkeypatch.setattr(oracle, "_DEGENERATE_RUN", 0)
     bland = exact_value(game).pivots
@@ -231,7 +230,7 @@ def test_200_by_200_games_take_few_pivots(family, limit):
             payoff = rng.uniform(-1.0, 1.0, size=(200, 200))
         else:
             payoff = _tie_heavy(rng, 200)
-        assert exact_value(make_zero_sum(payoff)).pivots <= limit, seed
+        assert exact_value(Game(payoff)).pivots <= limit, seed
 
 
 @pytest.mark.parametrize("dim", [2, 7, 20, 50])
@@ -258,7 +257,7 @@ def test_exact_value_matches_highs(family, dim):
     )
     assert result.status == 0
     tol = 1e-7 * (float(payoff.max() - payoff.min()) or 1.0)
-    assert exact_value(make_zero_sum(payoff)).value == pytest.approx(result.fun, abs=tol)
+    assert exact_value(Game(payoff)).value == pytest.approx(result.fun, abs=tol)
 
 
 # --- Fact 2: the marginals bracket the value ------------------------------------------
@@ -324,7 +323,7 @@ def test_the_marginals_bracket_the_value_within_the_sum_of_the_cce_gains(instanc
 
 
 def test_brute_force_point_mass_on_trivial_game():
-    g = make_zero_sum([[4.0]])
+    g = Game([[4.0]])
     gaps = brute_force_gaps(JointDistribution([[1.0]]), g)
     assert gaps.cce.epsilon == 0.0
     assert gaps.nash_of_marginals.epsilon == 0.0
@@ -358,7 +357,7 @@ def test_brute_force_rejects_oversized_and_mismatched_inputs():
     with pytest.raises(ValueError, match="50x50"):
         brute_force_gaps(
             JointDistribution(np.full((51, 1), 1.0 / 51.0)),
-            make_zero_sum(np.zeros((51, 1))),
+            Game(np.zeros((51, 1))),
         )
     with pytest.raises(ValueError, match="2x2 but game is 3x3"):
         brute_force_gaps(JointDistribution(np.full((2, 2), 0.25)), RPS)
