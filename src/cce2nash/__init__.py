@@ -4,8 +4,7 @@ Core fact under test: the marginal strategies of any ε-coarse-correlated
 equilibrium of a two-player zero-sum game form a 2ε-Nash equilibrium.  The
 package provides the game and distribution types, the gap calculators, the
 no-regret learners that produce empirical coarse-correlated equilibria through
-self-play, an exact LP value solver, and brute-force gap enumeration that
-cross-checks the gap calculators at desk scale.
+self-play, and an exact LP value solver.
 """
 
 from . import equilibrium, games, learners, oracle

@@ -21,7 +21,6 @@ __all__ = [
     "StrategyProfile",
     "format_game",
     "load_game",
-    "make_zero_sum",
     "parse_game",
     "save_game",
 ]
@@ -193,10 +192,9 @@ class StrategyProfile:
     col: MixedStrategy
 
 
-def make_zero_sum(payoff) -> Game:
-    """``Game(payoff)``.  Kept only because ``perfbench/bench.py`` imports it;
-    build a game with :class:`Game`."""
-    return Game(payoff)
+# Not exported: kept only because ``perfbench/bench.py`` imports it; build a
+# game with :class:`Game`.
+make_zero_sum = Game
 
 
 # ---------------------------------------------------------------------------

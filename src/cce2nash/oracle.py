@@ -1,14 +1,12 @@
-"""Exact game values and brute-force gaps.
+"""Exact game values.
 
-:func:`exact_value` is a product feature: it computes the value that
-``cce2nash value`` prints and the ``oracle_value`` and ``lp_pivots`` that
-``learn`` reports, from a self-contained dense simplex (no external solver;
-steepest-edge pricing, Dantzig's rule right after a degenerate pivot and
-Bland's rule after a run of them).  The tests use it as the value oracle too.
-:func:`brute_force_gaps` is a cross-check only, and no command calls it: it
-recomputes the gap reports from direct sums over the joint distribution that
-deliberately avoid the marginal-based formulas used in
-:mod:`cce2nash.equilibrium`.
+:func:`exact_value` computes the value that ``cce2nash value`` prints and the
+``oracle_value`` and ``lp_pivots`` that ``learn`` reports, from a
+self-contained dense simplex (no external solver; steepest-edge pricing,
+Dantzig's rule right after a degenerate pivot and Bland's rule after a run of
+them).  The tests use it as the value oracle too.  ``brute_force_gaps``, a
+cross-check that no command calls and the package does not export, is kept
+here only because ``perfbench/bench.py`` imports it.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ from .equilibrium import GapReport, JointDistribution
 from .games import Game, MixedStrategy, _check_shape
 
 __all__ = [
-    "BruteForceGaps",
     "SimplexLimitExceeded",
     "ValueSolution",
-    "brute_force_gaps",
     "exact_value",
 ]
 
@@ -260,7 +256,8 @@ def exact_value(game: Game) -> ValueSolution:
 def brute_force_gaps(mu: JointDistribution, game: Game) -> BruteForceGaps:
     """Recompute both gap reports by direct sums over the joint distribution.
 
-    Used in tests to cross-check the equilibrium module.  Every deviation
+    Cross-checks the equilibrium module in the tests and in
+    ``perfbench/bench.py``, the reason it is kept here.  Every deviation
     value here is a literal double sum over all cells of ``mu`` (the joint
     route), whereas the equilibrium module evaluates deviations against the
     opponent's marginal; the two are equal by linearity, and comparing them

@@ -15,17 +15,16 @@ from cce2nash import (
     Algo,
     Game,
     StrategyProfile,
-    brute_force_gaps,
+    analyze,
     cce_gap,
     exact_value,
     expected_joint_utility,
     marginal_profile,
     nash_gap,
     self_play,
-    two_eps_check,
-    value_consistency_check,
 )
 from cce2nash.cli import main
+from cce2nash.oracle import brute_force_gaps
 from helpers import (
     ASYM,
     PENNIES,
@@ -92,7 +91,7 @@ def test_criterion_1_deviation_value_equals_marginal_evaluation():
 def test_criterion_2_joint_payoff_consistent_with_marginals():
     corpus = shared_corpus()
     start = time.perf_counter()
-    failures = sum(1 for g, mu, _, _ in corpus if not value_consistency_check(mu, g).holds)
+    failures = sum(1 for g, mu, _, _ in corpus if not analyze(mu, g).value_consistency.holds)
     elapsed = time.perf_counter() - start
     verdict(
         2,
@@ -111,7 +110,7 @@ def test_criterion_3_marginals_are_two_eps_nash():
     for _ in range(count):
         g = random_game(rng, max_dim=20)
         mu = random_joint(rng, g.shape)
-        chk = two_eps_check(mu, g)
+        chk = analyze(mu, g).two_eps
         if not chk.holds:
             failures += 1
         max_ratio = max(max_ratio, chk.nash_eps / max(chk.cce_eps, 1e-15))

@@ -13,21 +13,18 @@ from cce2nash import (
     MixedStrategy,
     StrategyProfile,
     analyze,
-    brute_force_gaps,
     cce_gap,
     expected_joint_utility,
     load_game,
     load_joint,
-    make_zero_sum,
     marginal_profile,
     nash_gap,
     parse_game,
     parse_joint,
     save_joint,
-    two_eps_check,
-    value_consistency_check,
 )
 from cce2nash.equilibrium import bound_slack
+from cce2nash.oracle import brute_force_gaps
 from helpers import (
     ASYM, PENNIES, bimatrix_gains, cell, deviation_value, point_mass, product, random_game,
     random_joint, random_mixed, reference_check_brute_shape, reference_check_joint_shape,
@@ -268,9 +265,8 @@ def test_gaps_refuse_a_payoff_range_of_2_to_the_1023(big, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(text)
     message = r"payoff range \S+ is 2\*\*1023 or more; rescale the game$"
-    for make in (Game, make_zero_sum):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            make(payoff)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Game(payoff)
     with pytest.raises(FormatError, match=f"^{message}"):
         parse_game(text)
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
@@ -293,7 +289,7 @@ def test_gap_report_epsilon_clips_at_zero():
 
 
 def test_value_consistency_diagonal_pennies():
-    result = value_consistency_check(DIAG, PENNIES)
+    result = analyze(DIAG, PENNIES).value_consistency
     assert result.lhs == pytest.approx(1.0, abs=1e-12)
     assert result.bound == pytest.approx(1.0, abs=1e-12)
     assert result.holds
@@ -303,14 +299,14 @@ def test_value_consistency_product_distribution_lhs_zero():
     rng = np.random.default_rng(5)
     g = random_game(rng, max_dim=6)
     mu = product(random_mixed(rng, g.rows), random_mixed(rng, g.cols))
-    result = value_consistency_check(mu, g)
+    result = analyze(mu, g).value_consistency
     assert result.lhs <= 1e-12
     assert result.holds
 
 
 def test_value_consistency_point_mass():
     mu = cell(2, 2, 1, 0)
-    result = value_consistency_check(mu, PENNIES)
+    result = analyze(mu, PENNIES).value_consistency
     assert result.lhs <= 1e-15
     assert result.holds
 
@@ -339,7 +335,7 @@ def test_swapping_the_players_trades_their_gains():
 
 
 def test_two_eps_diagonal_pennies():
-    result = two_eps_check(DIAG, PENNIES)
+    result = analyze(DIAG, PENNIES).two_eps
     assert result.cce_eps == pytest.approx(1.0, abs=1e-12)
     assert result.nash_eps == pytest.approx(0.0, abs=1e-12)
     assert result.holds
@@ -347,7 +343,7 @@ def test_two_eps_diagonal_pennies():
 
 def test_two_eps_exact_cce_gives_exact_nash():
     mu = product(uniform(2), uniform(2))
-    result = two_eps_check(mu, PENNIES)
+    result = analyze(mu, PENNIES).two_eps
     assert result.cce_eps <= 1e-12
     assert result.nash_eps <= 2.0 * result.cce_eps + 1e-9
     assert result.holds
@@ -357,8 +353,8 @@ def test_two_eps_exact_cce_gives_exact_nash():
 @given(joint_instances())
 def test_both_bounds_hold_on_random_instances(instance):
     game, mu = instance
-    assert value_consistency_check(mu, game).holds
-    assert two_eps_check(mu, game).holds
+    assert analyze(mu, game).value_consistency.holds
+    assert analyze(mu, game).two_eps.holds
     # analyze's shared kernel agrees bit for bit with the independent public
     # routes on the payoffs it scores, the game minus its shift
     report, profile = analyze(mu, game), marginal_profile(mu)

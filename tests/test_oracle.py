@@ -10,7 +10,6 @@ from cce2nash import (
     JointDistribution,
     SimplexLimitExceeded,
     StrategyProfile,
-    brute_force_gaps,
     cce_gap,
     exact_value,
     marginal_profile,
@@ -18,7 +17,7 @@ from cce2nash import (
     self_play,
 )
 from cce2nash import oracle
-from cce2nash.oracle import _simplex_max_ones
+from cce2nash.oracle import _simplex_max_ones, brute_force_gaps
 from helpers import (
     ASYM, PENNIES, RPS, full_tableau_simplex, product, random_game, random_joint, random_mixed,
 )
@@ -121,6 +120,13 @@ def test_simplex_reports_pivot_limit():
     # the optimum of this LP has both variables basic, so one pivot cannot reach it
     with pytest.raises(SimplexLimitExceeded, match="within 1 pivot"):
         _simplex_max_ones(np.array([[1.0, 2.0], [2.0, 1.0]]), max_pivots=1)
+
+
+def test_simplex_refuses_an_unbounded_lp():
+    # A zero column leaves its variable unbounded: exact_value's positive
+    # payoff shift never builds one, so only the guard's own test reaches it.
+    with pytest.raises(RuntimeError, match="unbounded LP"):
+        _simplex_max_ones(np.array([[1.0, 0.0], [1.0, 0.0]]), 100)
 
 
 def _tie_heavy(rng, rows, cols=None):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -13,16 +14,28 @@ from cce2nash import (
 
 # The package's public names, one module each.
 PUBLIC = {
-    "BOUND_TOL", "JOINT_FILE_SUM_TOL", "PROB_SUM_TOL", "Algo", "Averaging",
-    "BruteForceGaps", "CheckReport", "Checkpoint", "FormatError", "Game", "GapReport",
-    "JointDistribution", "MixedStrategy", "SelfPlayResult", "SimplexLimitExceeded",
-    "StrategyProfile", "TwoEpsCheck", "ValueConsistency", "ValueSolution", "analyze",
-    "brute_force_gaps", "cce_gap", "exact_value", "expected_joint_utility", "format_game",
-    "load_game", "load_joint", "make_zero_sum", "marginal_profile", "nash_gap",
-    "parse_game", "parse_joint", "save_game", "save_joint", "self_play",
-    "trajectory_csv", "two_eps_check", "value_consistency_check",
+    "BOUND_TOL", "PROB_SUM_TOL", "Algo", "Averaging", "CheckReport", "Checkpoint",
+    "FormatError", "Game", "GapReport", "JointDistribution", "MixedStrategy",
+    "SelfPlayResult", "SimplexLimitExceeded", "StrategyProfile", "TwoEpsCheck",
+    "ValueConsistency", "ValueSolution", "analyze", "cce_gap", "exact_value",
+    "expected_joint_utility", "format_game", "load_game", "load_joint", "marginal_profile",
+    "nash_gap", "parse_game", "parse_joint", "save_game", "save_joint", "self_play",
+    "trajectory_csv",
 }
 MODULES = (equilibrium, games, learners, oracle)
+
+# Names the package does not export but its modules keep: perfbench/ imports
+# or traces the first five by name, and parse_joint reads the file tolerance.
+UNEXPORTED = [
+    (games, "make_zero_sum"),
+    (oracle, "brute_force_gaps"),
+    (oracle, "BruteForceGaps"),
+    (equilibrium, "value_consistency_check"),
+    (equilibrium, "two_eps_check"),
+    (equilibrium, "JOINT_FILE_SUM_TOL"),
+]
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 DELETED = [
     "pure_vs_mixed",
@@ -66,7 +79,7 @@ def test_all_lists_exactly_the_public_names_and_each_resolves():
 
 
 def test_each_public_name_is_declared_by_exactly_one_module_and_bound_to_its_object():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 32
     assert sorted(cce2nash.__all__) == sorted(PUBLIC)
     for name in cce2nash.__all__:
         owners = [module for module in MODULES if name in module.__all__]
@@ -94,3 +107,50 @@ def test_test_only_names_are_gone_from_the_package(name):
 )
 def test_test_only_members_are_gone_from_the_package(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "module, name", UNEXPORTED, ids=[f"{module.__name__}.{name}" for module, name in UNEXPORTED],
+)
+def test_unexported_names_stay_in_their_module_only(module, name):
+    assert name not in module.__all__
+    assert getattr(module, name) is not None
+    assert not hasattr(cce2nash, name)
+    with pytest.raises(ImportError):
+        exec(f"from cce2nash import {name}", {})
+
+
+def test_make_zero_sum_is_game_and_the_views_are_fields_of_analyze():
+    assert games.make_zero_sum is games.Game
+    game = games.Game([[1.0, -1.0], [-1.0, 1.0]])
+    mu = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
+    report = equilibrium.analyze(mu, game)
+    assert equilibrium.two_eps_check(mu, game) == report.two_eps
+    assert equilibrium.value_consistency_check(mu, game) == report.value_consistency
+
+
+def _perfbench_names():
+    """``(module, name)`` for each ``from cce2nash... import name`` in
+    perfbench/bench.py and spans.py and each entry of spans.py's TARGETS,
+    read from the source so that nothing in perfbench/ is imported."""
+    found = []
+    for script in ("bench.py", "spans.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cce2nash":
+                found += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+            ):
+                found += [(f"cce2nash.{entry.elts[0].id}", entry.elts[1].value)
+                          for entry in node.value.elts]
+    return found
+
+
+def test_perfbench_finds_every_name_it_imports_or_traces():
+    names = _perfbench_names()
+    assert ("cce2nash.games", "make_zero_sum") in names
+    assert ("cce2nash.equilibrium", "two_eps_check") in names
+    for module, name in names:
+        # Raises ImportError for a name its module lacks.
+        exec(f"from {module} import {name}", {})
