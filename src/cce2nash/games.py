@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import math
 import operator
 import os
@@ -270,57 +271,25 @@ def _power_edge(k: int) -> float:
     return nearest if numerator * 10**k > denominator else math.nextafter(nearest, 1.0)
 
 
-# The smallest double at or above 10**-k, for k = 1 to 16.  The doubles 1e-1
-# to 1e-5 lie just above the power of ten they stand for; 1e-6, 1e-14 and
-# 1e-16 are among those that lie below it.
-_POWER_EDGES = [_power_edge(k) for k in range(1, 17)]
-# The range runs from the smallest double at or above 10**-16 up to 1.
-_DIGIT_LOW = _POWER_EDGES[15]
-# One search among these 31 signed edges gives each value x in the range a
-# code 0..31: 0..15 for x <= -1e-1, ..., -1e-15 and < 0, 16..31 for x <
-# 1e-15, ..., 1e-1 and 1.  Each negative edge is the double next to -1e-k
-# towards 0, so the search counts it for every x above -1e-k.
-_DIGIT_EDGES = np.array(
-    [-math.nextafter(edge, 0.0) for edge in _POWER_EDGES[:15]] + [0.0] + _POWER_EDGES[14::-1]
-)
-# By code: the sign and the decade E = floor(log10 |x|), -1 to -16 and then
-# -16 to -1.  Every table by code below is made from this one.
-_DECADES = [("-", -1 - code) for code in range(16)] + [("", code - 32) for code in range(16, 32)]
-# By code: 10**(16 - E) as the product of 10**min(22, 16 - E) and
+# The range runs from the smallest double at or above 10**-16 (the double
+# 1e-16 lies below it) up to 1.
+_DIGIT_LOW = _power_edge(16)
+# The smallest double at or above 10**-k, for k = 15 down to 1: one search of
+# |x| among them gives each value x in the range its decade E = floor(log10
+# |x|) as the index E + 16.  The doubles 1e-1 to 1e-5 lie just above the
+# power of ten they stand for; 1e-6 and 1e-14 are among those below it.
+_DECADE_EDGES = np.array([_power_edge(k) for k in range(15, 0, -1)])
+# By decade: 10**(16 - E) as the product of 10**min(22, 16 - E) and
 # 10**max(0, -6 - E), which is 1 for E >= -6; both are exact doubles, each
 # split into halves.
-_FIRST_SCALES = np.array([10.0 ** min(22, 16 - decade) for _, decade in _DECADES])
+_FIRST_SCALES = np.array([10.0 ** min(22, 16 - decade) for decade in range(-16, 0)])
 _FIRST_HIGH, _FIRST_LOW = _split(_FIRST_SCALES)
-_SECOND_SCALES = np.array([10.0 ** max(0, -6 - decade) for _, decade in _DECADES])
+_SECOND_SCALES = np.array([10.0 ** max(0, -6 - decade) for decade in range(-16, 0)])
 _SECOND_HIGH, _SECOND_LOW = _split(_SECOND_SCALES)
-# In decades -7 to -16, codes 6 to 25, the fraction that rounds the last
-# digit is off by at most 30.3 * 2**-53 (see format_matrix), so one this near
-# a half-integer may round wrong.
+# In decades -7 to -16 the fraction that rounds the last digit is off by at
+# most 30.3 * 2**-53 (see format_matrix), so one this near a half-integer may
+# round wrong.
 _SMALL_TIE = 31 * 2.0**-53
-# Each value in the range is written as one piece of its block's format: what
-# %.17g writes before the digits, "%d" for them, any exponent, then " " or,
-# in the last column, "\n".  Fixed notation, decades -1 to -4 (codes 0 to 3
-# and 28 to 31): the piece at its code, the sign, "0." and -E - 1 zeros; the
-# pieces at the other codes are empty.  Exponent notation, decades -5 to -16
-# (codes 4 to 27): at 32 + 144 * (code - 4) + 16 * (first - 1) + zeros, the
-# sign, the first digit, "." and the zeros that lead the other 16 digits,
-# then after the digits "e-05" to "e-16".  A value whose digits leave "."
-# out, or carry into the next decade, has no piece (see format_matrix).
-# Each piece comes twice, with " " and then with "\n".  The exponent pieces
-# are broadcast from the two signs (codes 4 to 15, then 16 to 27), which
-# makes fewer strings on the way than a prefix per code.
-_DIGIT_PIECES = np.concatenate([
-    np.array([[(f"{sign}0.{'0' * (-1 - decade)}%d" if decade >= -4 else "") + sep
-               for sep in (" ", "\n")] for sign, decade in _DECADES], dtype=object).ravel(),
-    (np.array([[f"{sign}{first}." for first in range(1, 10)] for sign in ("-", "")],
-              dtype=object)[:, None, :, None, None]
-     + np.array(["0" * zeros + "%d" for zeros in range(16)], dtype=object)[:, None]
-     + np.array([[f"e{decade:03d}{sep}" for sep in (" ", "\n")] for _, decade in _DECADES[4:28]],
-                dtype=object).reshape(2, 12, 1, 1, 2)).ravel(),
-])
-# By code, for codes 4 to 27: where the pieces of its decade start, less 16
-# for the first digit, which is at least 1.
-_EXPONENT_BASES = 32 + 144 * (np.arange(32) - 4) - 16
 # What %.17g writes for 0.0 and -0.0, by sign, each with " " and then "\n".
 _ZERO_PIECES = np.array(["0 ", "0\n", "-0 ", "-0\n"], dtype=object)
 _POWERS_OF_TEN = 10 ** np.arange(16, dtype=np.int64)
@@ -353,27 +322,55 @@ def _texts(values: list, last: list) -> list:
     return [("%.17g\n" if end else "%.17g ") % value for end, value in zip(last, values)]
 
 
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The piece of each value in the range in its block's format, built on
+    first use: what %.17g writes before the digits, "%d" for them, any
+    exponent, then " " or, where ``last`` is 1 (the last column), "\n"; at
+    5120 * sign bit + 320 * (E + 16) + 32 * first + 2 * zeros + last.
+    Exponent notation, decades -16 to -5: the sign, the ``first`` digit, "."
+    and the ``zeros`` that lead the other 16 digits, then "e-16" to "e-05".
+    Fixed notation, decades -4 to -1: the sign, "0." and -E - 1 zeros, at
+    every first and zeros.  A value whose digits leave "." out, or carry into
+    the next decade, has no piece (see :func:`format_matrix`)."""
+    table = np.empty((2, 16, 10, 16, 2), dtype=object)
+    table[:, 12:] = np.array(
+        [[[f"{sign}0.{'0' * (-1 - decade)}%d{sep}" for sep in (" ", "\n")]
+          for decade in range(-4, 0)] for sign in ("", "-")], dtype=object)[:, :, None, None]
+    table[:, :12, 1:] = (
+        np.array([[f"{sign}{first}." for first in range(1, 10)] for sign in ("", "-")],
+                 dtype=object)[:, None, :, None, None]
+        + np.array(["0" * zeros + "%d" for zeros in range(16)], dtype=object)[:, None]
+        + np.array([[f"e{decade:03d}{sep}" for sep in (" ", "\n")] for decade in range(-16, -4)],
+                   dtype=object)[:, None, None])
+    return table.ravel()
+
+
 def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per value of ``values``, 1-D with every |value| in [1e-16, 1), and true
-    in ``last`` for a value in the last column: its piece of ``_DIGIT_PIECES``,
+    in ``last`` for a value in the last column: its piece of :func:`_digit_table`,
     or its '%.17g' text, and the integers the pieces' ``%d``s write, in order.
     See :func:`format_matrix` for why the digits are those %.17g writes."""
-    code = np.searchsorted(_DIGIT_EDGES, values, side="right")
-    high, low = _two_product(np.abs(values), _FIRST_SCALES.take(code),
-                             _FIRST_HIGH.take(code), _FIRST_LOW.take(code))
+    magnitude = np.abs(values)
+    decade = np.searchsorted(_DECADE_EDGES, magnitude, side="right")  # E + 16
+    high, low = _two_product(magnitude, _FIRST_SCALES.take(decade),
+                             _FIRST_HIGH.take(decade), _FIRST_LOW.take(decade))
     number = high.astype(np.int64)
     number += np.rint(low).astype(np.int64)
-    index = code  # a code of fixed notation is its piece
+    # Each value's place in the table; for fixed notation it is complete.
+    index = decade * 320
+    index += last
+    index += np.signbit(values) * 5120
     text = np.zeros(0, dtype=np.intp)  # values written as their '%.17g' text
-    at = np.flatnonzero((code >= 4) & (code < 28))  # exponent notation
+    at = np.flatnonzero(decade < 12)  # exponent notation
     if at.size:
-        codes = code[at]
-        small = np.flatnonzero((codes >= 6) & (codes < 26))  # decades -7 to -16
+        decades = decade[at]
+        small = np.flatnonzero(decades < 10)  # decades -7 to -16
         if small.size:
-            where, codes = at[small], codes[small]
-            scale = _SECOND_SCALES.take(codes)
-            top, fraction = _two_product(high[where], scale, _SECOND_HIGH.take(codes),
-                                         _SECOND_LOW.take(codes))
+            where, decades = at[small], decades[small]
+            scale = _SECOND_SCALES.take(decades)
+            top, fraction = _two_product(high[where], scale, _SECOND_HIGH.take(decades),
+                                         _SECOND_LOW.take(decades))
             fraction += low[where] * scale
             digits = top.astype(np.int64)
             digits += np.rint(fraction).astype(np.int64)
@@ -385,7 +382,7 @@ def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.
                 at = np.delete(at, small[off])
         first, rest = np.divmod(number[at], 10**16)
         zeros = 16 - np.searchsorted(_POWERS_OF_TEN, rest, side="right")
-        index[at] = _EXPONENT_BASES.take(code[at]) + 16 * first + zeros
+        index[at] += 32 * first + 2 * zeros
         number[at] = rest
     # %g drops trailing zeros; few values have any.  No rest is 0 (see
     # format_matrix), but the loop drops a 0 rather than divide it for ever.
@@ -394,9 +391,7 @@ def _digit_pieces(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.
         number[trailing] //= 10
         kept = number[trailing]
         trailing = trailing[(kept % 10 == 0) & (kept != 0)]
-    index *= 2
-    index += last
-    pieces = _DIGIT_PIECES.take(index)
+    pieces = _digit_table().take(index)
     if text.size:
         pieces[text] = _texts(values[text].tolist(), last[text].tolist())
         number = np.delete(number, text)
@@ -443,18 +438,18 @@ def format_matrix(matrix: np.ndarray) -> str:
     """Render a matrix in the shared text format with full round-trip precision.
 
     Each value is written as ``'%.17g'`` writes it.  A value in 1e-16 <= |x| < 1
-    is written from exact integer digits, with the same bytes.  One search among
-    0 and minus and plus the smallest double at or above each 10**-k (the
-    double 1e-k, or the next one up where 1e-k lies below 10**-k, as 1e-6,
-    1e-14 and 1e-16 do) gives it one code that settles its sign and E =
-    floor(log10 |x|) in [-16, -1] exactly.  For E >= -6, 10**(16 - E) <=
-    10**22 is an exact double, and Dekker's two-product gives |x| * 10**(16 -
-    E) = h + l exactly.  h >= 10**16 > 2**53 is an even integer, so h + rint(l)
-    is the product rounded half to even, as %.17g rounds it: 17 digits, less
-    trailing zeros, which %.17g writes after "0." and -E - 1 zeros for E >= -4,
-    and as d.dddd...e-K for E <= -5.  No double in [1e-6, 1) rounds up to the
-    next decade at 17 digits, so no carry arises, and none in decades -5 and
-    -6 rounds to a single digit, so the "." always stays.
+    is written from exact integer digits, with the same bytes.  Its sign bit
+    gives its sign, and one search of |x| among the smallest double at or
+    above each 10**-k (the double 1e-k, or the next one up where 1e-k lies
+    below 10**-k, as 1e-6, 1e-14 and 1e-16 do) gives E = floor(log10 |x|) in
+    [-16, -1] exactly.  For E >= -6, 10**(16 - E) <= 10**22 is an exact
+    double, and Dekker's two-product gives |x| * 10**(16 - E) = h + l exactly.
+    h >= 10**16 > 2**53 is an even integer, so h + rint(l) is the product
+    rounded half to even, as %.17g rounds it: 17 digits, less trailing zeros,
+    which %.17g writes after "0." and -E - 1 zeros for E >= -4, and as
+    d.dddd...e-K for E <= -5.  No double in [1e-6, 1) rounds up to the next
+    decade at 17 digits, so no carry arises, and none in decades -5 and -6
+    rounds to a single digit, so the "." always stays.
 
     For E <= -7, 10**(16 - E) = 10**22 * s with s = 10**(-6 - E) <= 10**10,
     both exact doubles.  Two-products give |x| * 10**22 = h1 + l1 and h1 * s

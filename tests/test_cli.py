@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import warnings
@@ -11,6 +12,7 @@ from cce2nash import (
     Game, TwoEpsCheck, analyze, exact_value, load_game, load_joint, save_game,
 )
 from cce2nash.cli import main
+from cce2nash.equilibrium import bound_slack
 from helpers import ASYM, PENNIES
 
 PENNIES_TEXT = "2 2\n1 -1\n-1 1\n"
@@ -191,6 +193,38 @@ def test_learn_refuses_a_game_too_large_for_the_oracle_before_self_play(
     assert main(["learn", "--game", str(game), "--iters", "10", "--out", str(out)]) == 2
     assert "200" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cce, slack", [
+    (0.0, 0.0), (0.25, 0.0), (1e-9, 0.0), (3.0, 0.0), (0.25, 1e-12), (1e-300, 1e-300), (0.5, 2.0),
+])
+def test_the_2eps_check_holds_up_to_twice_the_cce_level_plus_the_slack(cce, slack):
+    # The paper's constant is 2: the bound itself holds and the next double does not.
+    bound = 2.0 * cce + slack
+    assert TwoEpsCheck.from_levels(cce, bound, slack).holds
+    assert not TwoEpsCheck.from_levels(cce, math.nextafter(bound, math.inf), slack).holds
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_learn_writes_holds_2eps_of_its_last_checkpoint(pennies_file, tmp_path, monkeypatch, past):
+    # Self-play ends on a Nash level at 2 * cce_eps + slack, or the next double.
+    import cce2nash.cli as cli_mod
+
+    self_play, cce = cli_mod.self_play, 0.25
+    bound = 2.0 * cce + bound_slack(PENNIES)
+    nash = math.nextafter(bound, math.inf) if past else bound
+
+    def ending_on_the_levels(*args, **kwargs):
+        result = self_play(*args, **kwargs)
+        last = replace(result.trajectory[-1], cce_eps=cce, nash_eps=nash)
+        return replace(result, trajectory=result.trajectory[:-1] + (last,))
+
+    monkeypatch.setattr(cli_mod, "self_play", ending_on_the_levels)
+    out = tmp_path / "run"
+    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["cce_eps"], summary["nash_eps"]) == (cce, nash)
+    assert summary["holds_2eps"] is (not past)
 
 
 def test_learn_into_a_missing_nested_directory_writes_both_files(pennies_file, tmp_path, capsys):

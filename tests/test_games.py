@@ -646,14 +646,22 @@ def test_digit_ties_lie_halfway_between_two_17_digit_decimals():
 
 def test_one_search_gives_each_digit_value_its_sign_and_decade():
     # The doubles either side of each edge at +-10**-k, and some inside each
-    # decade, get the code whose entry is their sign and exact floor(log10 |x|).
+    # decade: the search of |x| gives each its exact E = floor(log10 |x|) as
+    # E + 16, and the piece it is written with, unless it is its own '%.17g'
+    # text, holds the sign of its sign bit and that E.
     values = [y for k in range(17) for x in (float(f"1e-{k}"), float(f"3e-{k}"))
               for y in _neighbours(x, 2)]
     values = [x for x in values + [-x for x in values] if games._DIGIT_LOW <= abs(x) < 1.0]
-    codes = np.searchsorted(games._DIGIT_EDGES, values, side="right")
-    for x, code in zip(values, codes.tolist()):
-        decade = next(e for e in DIGIT_DECADES[::-1] if abs(Fraction(x)) >= Fraction(10) ** e)
-        assert games._DECADES[code] == ("-" if x < 0 else "", decade), x
+    decades = np.searchsorted(games._DECADE_EDGES, np.abs(values), side="right")
+    pieces, _ = games._digit_pieces(np.array(values), np.zeros(len(values), dtype=bool))
+    assert sum("%d" in piece for piece in pieces.tolist()) > len(values) // 2
+    for x, decade, piece in zip(values, decades.tolist(), pieces.tolist()):
+        exact = next(e for e in DIGIT_DECADES[::-1] if abs(Fraction(x)) >= Fraction(10) ** e)
+        assert decade == exact + 16, x
+        if "%d" in piece:
+            assert piece.startswith("-") == (x < 0) == bool(np.signbit(x)), x
+            written = int(piece.split("e")[1]) if "e" in piece else -1 - piece.split(".")[1].count("0")
+            assert written == exact, (x, piece)
 
 
 def _largest_below_power(k):

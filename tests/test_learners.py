@@ -153,6 +153,25 @@ def test_rules_play_into_out_and_update_with_the_bits_of_the_reference_rules(alg
         assert update(cumulative, utilities, probs).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("algo", [RM, RM_PLUS])
+def test_the_per_row_fallback_normalizes_a_positive_part_summing_below_one(algo):
+    # One row has no positive regret, which sends the round to the per-row
+    # fallback; the other's positive part sums to 0.5, and that row is still
+    # normalized by its sum, not played uniform.
+    k = 4
+    cumulative, utilities, values = np.zeros((2, k)), np.zeros((2, k)), np.empty((2, 1))
+    play, _ = _rule(algo, (0.0, 0.0), cumulative, utilities, values)
+    none = np.zeros(k) if algo is RM_PLUS else np.array([-1.0, -0.5, 0.0, -2.0])
+    below_one = np.array([0.125, 0.0 if algo is RM_PLUS else -3.0, 0.25, 0.125])
+    for vectors in ([none, below_one], [below_one, none]):
+        cumulative[:] = vectors
+        probs = np.empty((2, k))
+        play(probs)
+        for vector, p in zip(vectors, probs):
+            assert p.tobytes() == reference_rule_play(algo, vector).tobytes()
+    assert np.array_equal(probs[0], [0.25, 0.0, 0.5, 0.25])
+
+
 @pytest.mark.parametrize("algo", list(Algo))
 def test_a_rule_over_both_players_rows_has_each_players_bits(algo):
     # In turn, each player's regrets are none positive, so RM and RM+ play it

@@ -122,6 +122,21 @@ def test_simplex_reports_pivot_limit():
         _simplex_max_ones(np.array([[1.0, 2.0], [2.0, 1.0]]), max_pivots=1)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 7), (200, 5)])
+def test_exact_value_gives_the_simplex_a_budget_of_100_pivots_per_row_column_and_2(
+    monkeypatch, shape
+):
+    budgets = []
+
+    def spy(B, max_pivots):
+        budgets.append(max_pivots)
+        return _simplex_max_ones(B, max_pivots)
+
+    monkeypatch.setattr(oracle, "_simplex_max_ones", spy)
+    exact_value(Game(np.arange(np.prod(shape), dtype=float).reshape(shape) % 5))
+    assert budgets == [100 * (shape[0] + shape[1] + 2)]
+
+
 def test_simplex_refuses_an_unbounded_lp():
     # A zero column leaves its variable unbounded: exact_value's positive
     # payoff shift never builds one, so only the guard's own test reaches it.

@@ -94,6 +94,32 @@ def test_importing_the_package_does_not_import_the_command_line():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def test_the_piece_table_is_built_by_the_first_matrix_written_with_digit_pieces(tmp_path):
+    # A fresh process that imports the package and solves a game writes no
+    # matrix and builds no table; its first 20x20 joint builds it, once.
+    src = Path(cce2nash.__file__).resolve().parent.parent
+    game = tmp_path / "game.txt"
+    game.write_text("20 20\n" + "".join(
+        " ".join(str((r * 7 + c * 3) % 11 - 5) for c in range(20)) + "\n" for r in range(20)))
+    code = f"""
+import numpy as np
+import cce2nash
+from cce2nash import JointDistribution, games, save_joint
+from cce2nash.cli import main
+
+assert games._digit_table.cache_info().currsize == 0
+assert main(["value", "--game", {str(game)!r}]) == 0
+assert games._digit_table.cache_info().currsize == 0
+mu = JointDistribution(np.random.default_rng(3).dirichlet(np.ones(400)).reshape(20, 20))
+for name in ("a.txt", "b.txt"):
+    save_joint(mu, {str(tmp_path)!r} + "/" + name)
+info = games._digit_table.cache_info()
+assert (info.misses, info.hits, info.currsize) == (1, 1, 1), info
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 @pytest.mark.parametrize("name", DELETED)
 def test_test_only_names_are_gone_from_the_package(name):
     assert not hasattr(cce2nash, name)
