@@ -1,8 +1,8 @@
 """No-external-regret learners and the self-play driver.
 
 Three update rules are provided: regret matching, regret matching+, and
-multiplicative weights with a fixed-horizon step size.  Driving two of them
-against each other with full-information feedback makes the time-averaged
+multiplicative weights with a fixed-horizon step size.  Driving one of them
+for both players with full-information feedback makes the time-averaged
 joint play an empirical coarse-correlated equilibrium whose gap vanishes, and
 therefore makes the averaged marginals an approximate Nash profile.
 """
@@ -39,14 +39,14 @@ class Averaging(Enum):
     SAMPLED = "sampled"
 
 
-def _rule(algo: Algo, etas, cumulative, utilities, values):
+def _rule(algo: Algo, eta: float, cumulative, utilities, values):
     """The ``(play, update)`` functions of one rule over the players it owns,
     bound once per run to their arrays; the only implementation of each rule.
 
     ``cumulative`` and ``utilities`` hold one row per player, all of one
-    length, or are one player's own vector.  ``etas[i]`` is player ``i``'s
-    multiplicative weights step size and ``values[i, 0]`` (a 0-d ``values``
-    for a vector) its expected payoff in the round, which regret matching
+    length, or are one player's own vector.  ``eta`` is the multiplicative
+    weights step size and ``values[i, 0]`` (0-d ``values`` for a vector)
+    player ``i``'s expected payoff in the round, which regret matching
     subtracts.  ``play(out)`` writes the strategies of the current cumulative
     vectors into ``out``, of the same shape, and ``update()`` adds the round's
     utilities to the cumulative vectors in place.  They validate nothing.
@@ -59,8 +59,7 @@ def _rule(algo: Algo, etas, cumulative, utilities, values):
     summed = cumulative if clip else buffer
 
     if algo is Algo.MULTIPLICATIVE_WEIGHTS:
-        steps = np.empty_like(cumulative)  # full rows multiply faster than broadcast ones
-        steps[...] = np.reshape(etas, totals.shape)
+        steps = np.full_like(cumulative, eta)  # full rows multiply faster than a scalar
 
         def play(out):
             np.maximum.reduce(cumulative, axis=-1, out=flat)
@@ -106,9 +105,9 @@ def _rule(algo: Algo, etas, cumulative, utilities, values):
 
 
 def _stacked(row_rule, col_rule):
-    """One ``(play, update)`` pair from the rules of the two players, each
-    bound to its own vectors; its ``play`` takes the pair of their ``out``
-    vectors."""
+    """One ``(play, update)`` pair from the rule bound to each player's own
+    vectors, as on a non-square game; its ``play`` takes the pair of their
+    ``out`` vectors."""
     (row_play, row_update), (col_play, col_update) = row_rule, col_rule
 
     def play(out):
@@ -132,6 +131,10 @@ def _eta(algo: Algo, num_actions: int, spread: float, horizon: int) -> float:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """The gaps of the averaged joint play after round ``t``: ``cce_eps`` of
+    the joint, ``nash_eps`` of its marginals and ``avg_row_payoff`` the row
+    player's expected payoff under it, with ``game.shift`` added back."""
+
     t: int
     cce_eps: float
     nash_eps: float
@@ -165,9 +168,8 @@ def self_play(
     seed: int = 0,
     averaging=Averaging.EXPECTED,
     log_every: int = 1000,
-    col_algo=None,
 ) -> SelfPlayResult:
-    """Run synchronized full-information self-play and average the joint play.
+    """Run synchronized self-play of one rule and average the joint play.
 
     Each round, every player observes the vector of expected payoffs of all
     its pure actions against the opponent's current mixed strategy.  With
@@ -184,7 +186,7 @@ def self_play(
     uniforms at once from the one PCG64 stream, the same values as one draw
     at a time, and adds its counts exactly, so the sampled joint is that of
     one draw per round.  Results are deterministic given
-    ``(algo, col_algo, iters, seed, averaging)``.
+    ``(algo, iters, seed, averaging)``.
 
     Regret matching (+) plays the positive part of its cumulative regrets,
     normalized, and uniform when none is positive; RM+ clips its regrets at 0
@@ -206,11 +208,11 @@ def self_play(
 
     Both players' state lives in ``(2, K)`` arrays, one row each, with ``K``
     the larger action count, and each round's two strategies go into one
-    ``(2, K)`` slot of the block.  Each rule is bound once per run: over both
-    rows when both players use it on a square game, so that each of its
-    elementwise steps and reductions runs once per round for both players,
-    and to each player's own vectors otherwise.  numpy reduces each row of a
-    C-ordered array on its own, with the bits of that row alone.  Each
+    ``(2, K)`` slot of the block.  The rule is bound once per run: over both
+    rows on a square game, where both players have one step size, so that
+    each of its elementwise steps and reductions runs once per round for both
+    players, and to each player's own vectors otherwise.  numpy reduces each
+    row of a C-ordered array on its own, with the bits of that row alone.  Each
     player's expected payoff is one dot product of its own vectors.  Every
     fold copies each player's rounds to a contiguous array of its own for
     the products and the draws.  Strategies, joints and checkpoints are
@@ -218,14 +220,12 @@ def self_play(
 
     Args:
         game: zero-sum game to play.
-        algo: update rule, an :class:`Algo` or its string value.
+        algo: update rule of both players, an :class:`Algo` or its string value.
         iters: number of rounds, at least 1.
         seed: non-negative integer; seeds the generator, made for sampled play only.
         averaging: ``expected`` or ``sampled``.
         log_every: checkpoint spacing for the trajectory; the final round is
             always a checkpoint.
-        col_algo: optional different update rule for the column player;
-            defaults to ``algo`` for both.
 
     Returns:
         :class:`SelfPlayResult` with the averaged joint distribution and the
@@ -237,7 +237,6 @@ def self_play(
             refused when the :class:`~cce2nash.games.Game` is made.
     """
     algo = Algo(algo)
-    col_algo = algo if col_algo is None else Algo(col_algo)
     averaging = Averaging(averaging)
     iters, log_every = _integer(iters, "iters"), _integer(log_every, "log_every")
     seed = _integer(seed, "seed", 0)
@@ -248,7 +247,7 @@ def self_play(
     payoff = centered / scale
     neg_payoff = -payoff  # the column player's utilities, exactly
     spread = game.payoff_range / scale
-    etas = (_eta(algo, rows, spread, iters), _eta(col_algo, cols, spread, iters))
+    row_eta, col_eta = _eta(algo, rows, spread, iters), _eta(algo, cols, spread, iters)
     sampled = averaging is Averaging.SAMPLED
     rng = np.random.default_rng(seed) if sampled else None
 
@@ -258,16 +257,16 @@ def self_play(
     row_value, col_value = (value.reshape(()) for value in values)
     # Each round's strategies are played into the next (2, width) slot.
     block = np.empty((min(_BLOCK, iters), 2, width))
-    if col_algo is algo and rows == cols:  # one rule over both rows
-        play, update = _rule(algo, etas, cum, util, values)
+    if rows == cols:  # one rule over both rows, whose step sizes are equal
+        play, update = _rule(algo, row_eta, cum, util, values)
         targets = list(block)
     else:  # one rule on each player's own vectors
         play, update = _stacked(
-            _rule(algo, etas[:1], cum[0, :rows], row_util, row_value),
-            _rule(col_algo, etas[1:], cum[1, :cols], col_util, col_value),
+            _rule(algo, row_eta, cum[0, :rows], row_util, row_value),
+            _rule(algo, col_eta, cum[1, :cols], col_util, col_value),
         )
         targets = list(zip(block[:, 0, :rows], block[:, 1, :cols]))
-    regret = not (algo is col_algo is Algo.MULTIPLICATIVE_WEIGHTS)  # RM and RM+ need the values
+    regret = algo is not Algo.MULTIPLICATIVE_WEIGHTS  # RM and RM+ need the values
     slots = list(zip(targets, block[:, 0, :rows], block[:, 1, :cols]))
     joint_acc = np.zeros((rows, cols))
     t = filled = 0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cce2nash import (
-    Game, TwoEpsCheck, analyze, exact_value, load_game, load_joint, save_game,
+    Game, TwoEpsCheck, analyze, exact_value, load_game, load_joint, save_game, self_play,
+    trajectory_csv,
 )
 from cce2nash.cli import main
 from cce2nash.equilibrium import bound_slack
@@ -149,6 +150,37 @@ def test_learn_writes_reports_and_summary(pennies_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["algo"] == "rm"
 
 
+@pytest.mark.parametrize("fmt, echoed", [("json", "summary.json"), ("csv", "trajectory.csv")])
+def test_learn_reports_every_summary_key_and_echoes_one_report_byte_for_byte(
+    pennies_file, tmp_path, capsys, fmt, echoed
+):
+    out = tmp_path / "run"
+    argv = ["learn", "--game", pennies_file, "--algo", "mw", "--averaging", "sampled",
+            "--seed", "7", "--iters", "200", "--log-every", "50", "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (out / echoed).read_bytes()
+    run = self_play(PENNIES, "mw", 200, seed=7, averaging="sampled", log_every=50)
+    assert (out / "trajectory.csv").read_text() == trajectory_csv(run.trajectory)
+    final, oracle = run.trajectory[-1], exact_value(PENNIES)
+    assert final.cce_eps > 1e-15 * PENNIES.payoff_range  # the ratio is not clamped
+    assert json.loads((out / "summary.json").read_text()) == {
+        "algo": "mw",
+        "averaging": "sampled",
+        "avg_row_payoff": final.avg_row_payoff,
+        "cce_eps": final.cce_eps,
+        "game": pennies_file,
+        "holds_2eps": True,
+        "iters": 200,
+        "log_every": 50,
+        "lp_pivots": oracle.pivots,
+        "nash_eps": final.nash_eps,
+        "oracle_value": oracle.value,
+        "ratio": final.nash_eps / final.cce_eps,
+        "seed": 7,
+        "tolerance": bound_slack(PENNIES),
+    }
+
+
 def test_learn_single_round_reports_uniform_play(pennies_file, tmp_path):
     out = tmp_path / "run"
     main(["learn", "--game", pennies_file, "--iters", "1", "--out", str(out)])
@@ -205,14 +237,10 @@ def test_the_2eps_check_holds_up_to_twice_the_cce_level_plus_the_slack(cce, slac
     assert not TwoEpsCheck.from_levels(cce, math.nextafter(bound, math.inf), slack).holds
 
 
-@pytest.mark.parametrize("past", [False, True])
-def test_learn_writes_holds_2eps_of_its_last_checkpoint(pennies_file, tmp_path, monkeypatch, past):
-    # Self-play ends on a Nash level at 2 * cce_eps + slack, or the next double.
+def learn_ending_on_the_levels(monkeypatch, game_file, out, cce, nash):
+    """The summary of ``learn`` on ``game_file`` with self-play patched to end
+    on the checkpoint levels ``cce`` and ``nash``."""
     import cce2nash.cli as cli_mod
-
-    self_play, cce = cli_mod.self_play, 0.25
-    bound = 2.0 * cce + bound_slack(PENNIES)
-    nash = math.nextafter(bound, math.inf) if past else bound
 
     def ending_on_the_levels(*args, **kwargs):
         result = self_play(*args, **kwargs)
@@ -220,11 +248,25 @@ def test_learn_writes_holds_2eps_of_its_last_checkpoint(pennies_file, tmp_path, 
         return replace(result, trajectory=result.trajectory[:-1] + (last,))
 
     monkeypatch.setattr(cli_mod, "self_play", ending_on_the_levels)
-    out = tmp_path / "run"
-    assert main(["learn", "--game", pennies_file, "--iters", "10", "--out", str(out)]) == 0
+    assert main(["learn", "--game", game_file, "--iters", "10", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["cce_eps"], summary["nash_eps"]) == (cce, nash)
+    return summary
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_learn_writes_holds_2eps_of_its_last_checkpoint(pennies_file, tmp_path, monkeypatch, past):
+    # Self-play ends on a Nash level at 2 * cce_eps + slack, or the next double.
+    cce = 0.25
+    bound = 2.0 * cce + bound_slack(PENNIES)
+    nash = math.nextafter(bound, math.inf) if past else bound
+    summary = learn_ending_on_the_levels(monkeypatch, pennies_file, tmp_path / "run", cce, nash)
     assert summary["holds_2eps"] is (not past)
+
+
+def test_learn_clamps_the_ratio_at_1e_15_of_the_payoff_range(pennies_file, tmp_path, monkeypatch):
+    summary = learn_ending_on_the_levels(monkeypatch, pennies_file, tmp_path / "run", 0.0, 1e-16)
+    assert summary["ratio"] == 1e-16 / (1e-15 * PENNIES.payoff_range)
 
 
 def test_learn_into_a_missing_nested_directory_writes_both_files(pennies_file, tmp_path, capsys):

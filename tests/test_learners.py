@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -51,11 +52,11 @@ def reference_rule_update(algo, eta, cumulative, utilities, probs):
 
 
 def bound_rule(algo, k, eta=0.0):
-    """``_rule`` bound to one player's own vectors, as in self-play between
-    two different rules, as functions of the cumulative vector, for the unit
-    tests; each returns a fresh array."""
+    """``_rule`` bound to one player's own vectors, as on a non-square game,
+    as functions of the cumulative vector, for the unit tests; each returns a
+    fresh array."""
     cumulative, utilities, values = np.zeros(k), np.zeros(k), np.empty(())
-    play, update = _rule(algo, (eta,), cumulative, utilities, values)
+    play, update = _rule(algo, eta, cumulative, utilities, values)
 
     def bound_play(vector):
         cumulative[:] = vector
@@ -160,7 +161,7 @@ def test_the_per_row_fallback_normalizes_a_positive_part_summing_below_one(algo)
     # normalized by its sum, not played uniform.
     k = 4
     cumulative, utilities, values = np.zeros((2, k)), np.zeros((2, k)), np.empty((2, 1))
-    play, _ = _rule(algo, (0.0, 0.0), cumulative, utilities, values)
+    play, _ = _rule(algo, 0.0, cumulative, utilities, values)
     none = np.zeros(k) if algo is RM_PLUS else np.array([-1.0, -0.5, 0.0, -2.0])
     below_one = np.array([0.125, 0.0 if algo is RM_PLUS else -3.0, 0.25, 0.125])
     for vectors in ([none, below_one], [below_one, none]):
@@ -177,9 +178,9 @@ def test_a_rule_over_both_players_rows_has_each_players_bits(algo):
     # In turn, each player's regrets are none positive, so RM and RM+ play it
     # uniform, while the other plays its own; each row is that player's rule.
     rng = np.random.default_rng(71)
-    k, etas = 6, (0.3, 0.05)
+    k, eta = 6, 0.3
     cumulative, utilities, values = np.zeros((2, k)), np.zeros((2, k)), np.empty((2, 1))
-    play, update = _rule(algo, etas, cumulative, utilities, values)
+    play, update = _rule(algo, eta, cumulative, utilities, values)
     for uniform in (0, 1):
         vectors = [rule_cases(algo, rng, k)[2 * i] for i in range(2)]
         if algo is not MW:
@@ -195,8 +196,7 @@ def test_a_rule_over_both_players_rows_has_each_players_bits(algo):
             assert np.array_equal(probs[uniform], np.full(k, 1.0 / k))
         update()
         for i in range(2):
-            expected = reference_rule_update(
-                algo, etas[i], vectors[i], player_utilities[i], probs[i])
+            expected = reference_rule_update(algo, eta, vectors[i], player_utilities[i], probs[i])
             assert cumulative[i].tobytes() == expected.tobytes()
 
 
@@ -294,6 +294,11 @@ def test_expected_self_play_makes_no_generator(monkeypatch):
             self_play(game, algo, iters=130, seed=4, log_every=50)
 
 
+def test_self_play_takes_one_rule_for_both_players():
+    names = list(inspect.signature(self_play).parameters)
+    assert names == ["game", "algo", "iters", "seed", "averaging", "log_every"]
+
+
 def test_self_play_result_stores_only_the_joint_and_the_trajectory():
     names = [field.name for field in dataclasses.fields(SelfPlayResult)]
     assert names == ["empirical_joint", "trajectory"]
@@ -333,7 +338,7 @@ def test_trajectory_checkpoints_at_log_every_and_final():
     for averaging in Averaging:
         result = self_play(g, RM, iters=300, seed=4, averaging=averaging, log_every=37)
         assert [c.t for c in result.trajectory] == [*range(37, 300, 37), 300]
-        assert result.trajectory == reference_run(g, RM, RM, 300, 4, averaging, 37)[1]
+        assert result.trajectory == reference_run(g, RM, 300, 4, averaging, 37)[1]
 
 
 @pytest.mark.parametrize("offset", [1e3, -1e14])
@@ -349,33 +354,33 @@ def test_the_joint_utility_of_an_offset_game_is_the_last_checkpoint_payoff(offse
         ), seed
 
 
-def reference_play(game, algo, col_algo, iters):
+def reference_play(game, algo, iters):
     """Each round's strategies in self-play, from the reference rules on the
     unscaled payoffs minus their shift, one rule call at a time."""
     payoff = game.payoff - game.shift
 
-    def eta(rule, k):  # the fixed-horizon step size of the self_play docstring
-        if rule is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
+    def eta(k):  # the fixed-horizon step size of the self_play docstring
+        if algo is Algo.MULTIPLICATIVE_WEIGHTS and k > 1 and game.payoff_range > 0:
             return math.sqrt(8.0 * math.log(k) / iters) / game.payoff_range
         return 0.0
 
-    row_eta, col_eta = eta(algo, game.rows), eta(col_algo, game.cols)
+    row_eta, col_eta = eta(game.rows), eta(game.cols)
     row, col = np.zeros(game.rows), np.zeros(game.cols)
     for _ in range(iters):
-        x, y = reference_rule_play(algo, row), reference_rule_play(col_algo, col)
+        x, y = reference_rule_play(algo, row), reference_rule_play(algo, col)
         yield x, y
         row = reference_rule_update(algo, row_eta, row, payoff @ y, x)
-        col = reference_rule_update(col_algo, col_eta, col, -(x @ payoff), y)
+        col = reference_rule_update(algo, col_eta, col, -(x @ payoff), y)
 
 
-def reference_run(game, algo, col_algo, iters, seed, averaging, log_every=1000):
+def reference_run(game, algo, iters, seed, averaging, log_every=1000):
     """The averaged joint of ``reference_play`` and its checkpoints, measured
     through the public gap functions.  Expected play is summed in the
     documented order: one ``X.T @ Y`` per block of 64 rounds (the last may be
     shorter), each added to the running total; sampled play adds one count per
     round.  ``avg_row_payoff`` is measured on the game minus its shift, which
     is then added back."""
-    rounds = list(reference_play(game, algo, col_algo, iters))
+    rounds = list(reference_play(game, algo, iters))
     if averaging is Averaging.SAMPLED:
         rng = np.random.default_rng(seed)
 
@@ -429,17 +434,11 @@ def reference_game(name):
     ("ties 5x7", 300), ("1x1", 65), ("fortran 5x7", 300),
     ("5x13", 300), ("13x5", 300), ("10x10", 300),
 ])
-@pytest.mark.parametrize("algo, col_algo", [
-    (Algo.REGRET_MATCHING, Algo.REGRET_MATCHING),
-    (Algo.REGRET_MATCHING_PLUS, Algo.REGRET_MATCHING_PLUS),
-    (Algo.MULTIPLICATIVE_WEIGHTS, Algo.MULTIPLICATIVE_WEIGHTS),
-    (Algo.REGRET_MATCHING_PLUS, Algo.MULTIPLICATIVE_WEIGHTS),
-])
-def test_self_play_matches_the_public_learner_api_bitwise(algo, col_algo, game, iters, averaging):
+@pytest.mark.parametrize("algo", list(Algo))
+def test_self_play_matches_the_public_learner_api_bitwise(algo, game, iters, averaging):
     g = reference_game(game)
-    result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, col_algo=col_algo,
-                       log_every=97)
-    mass, trajectory = reference_run(g, algo, col_algo, iters, 4, averaging, 97)
+    result = self_play(g, algo, iters=iters, seed=4, averaging=averaging, log_every=97)
+    mass, trajectory = reference_run(g, algo, iters, 4, averaging, 97)
     assert np.array_equal(result.empirical_joint.mass, mass)
     assert result.trajectory == trajectory
 
@@ -453,19 +452,17 @@ def self_play_instances(draw):
     else:
         payoff = rng.integers(-1, 2, size=(rows, cols)).astype(float)
     game = Game(payoff * 2.0 ** draw(st.integers(-60, 60)))
-    algo, col_algo = draw(st.sampled_from(list(Algo))), draw(st.sampled_from(list(Algo)))
+    algo = draw(st.sampled_from(list(Algo)))
     iters = draw(st.integers(1, 130))
-    return game, algo, col_algo, iters, draw(st.sampled_from(list(Averaging))), draw(
-        st.integers(1, iters))
+    return game, algo, iters, draw(st.sampled_from(list(Averaging))), draw(st.integers(1, iters))
 
 
 @settings(max_examples=60, deadline=None)
 @given(self_play_instances())
 def test_self_play_matches_the_reference_rules_bitwise(instance):
-    game, algo, col_algo, iters, averaging, log_every = instance
-    result = self_play(game, algo, iters=iters, seed=11, averaging=averaging,
-                       log_every=log_every, col_algo=col_algo)
-    mass, trajectory = reference_run(game, algo, col_algo, iters, 11, averaging, log_every)
+    game, algo, iters, averaging, log_every = instance
+    result = self_play(game, algo, iters=iters, seed=11, averaging=averaging, log_every=log_every)
+    mass, trajectory = reference_run(game, algo, iters, 11, averaging, log_every)
     assert result.empirical_joint.mass.tobytes() == mass.tobytes()
     assert result.trajectory == trajectory
 
@@ -491,10 +488,11 @@ def test_block_joint_is_within_the_blocked_summation_bound_of_the_exact_sum(iter
     # Each cell sums 64 products per block and then ceil(T/64) blocks, so to
     # first order it errs by at most 64 + ceil(T/64) roundings (Higham,
     # Accuracy and Stability of Numerical Algorithms, 4.2); the normalization
-    # adds one.  The errors measured here stay far below that.
+    # adds one.  The errors measured here stay far below that.  MW keeps every
+    # cell's mass positive.
     g = Game(np.random.default_rng(67).uniform(-1.0, 1.0, size=(6, 5)))
-    result = self_play(g, RM_PLUS, iters=iters, col_algo=MW)
-    rounds = list(reference_play(g, RM_PLUS, MW, iters))
+    result = self_play(g, MW, iters=iters)
+    rounds = list(reference_play(g, MW, iters))
     cells = np.array([[math.fsum(x[r] * y[c] for x, y in rounds) for c in range(g.cols)]
                       for r in range(g.rows)])
     exact = cells / math.fsum(cells.ravel())
@@ -533,13 +531,13 @@ def test_rm_external_regret_within_standard_bound():
 # regret over those rounds, which each rule bounds.
 
 
-def played_utilities(game, algo, col_algo, iters):
+def played_utilities(game, algo, iters):
     """Per round of ``reference_play``, on the payoffs minus their shift: each
     player's utilities of its pure actions, one row per round, and the row
     player's payoff of the round, ``(row_utilities, col_utilities, values)``;
     the column player's payoff is ``-values``."""
     payoff = game.payoff - game.shift
-    xs, ys = (np.array(side) for side in zip(*reference_play(game, algo, col_algo, iters)))
+    xs, ys = (np.array(side) for side in zip(*reference_play(game, algo, iters)))
     row_utilities = ys @ payoff.T
     return row_utilities, -(xs @ payoff), np.einsum("ti,ti->t", xs, row_utilities)
 
@@ -601,10 +599,9 @@ FACT1_GAMES = [
 
 @pytest.mark.parametrize("shape, kind, exponent, offset", FACT1_GAMES,
                          ids=[f"{r}x{c}-{kind}-2^{e}+{o:g}" for (r, c), kind, e, o in FACT1_GAMES])
-@pytest.mark.parametrize("algo, col_algo", [(a, b) for a in Algo for b in Algo],
-                         ids=[f"{a.value}-{b.value}" for a in Algo for b in Algo])
+@pytest.mark.parametrize("algo", list(Algo), ids=[a.value for a in Algo])
 def test_each_cce_gain_is_the_players_average_external_regret_within_its_bound(
-    algo, col_algo, shape, kind, exponent, offset
+    algo, shape, kind, exponent, offset
 ):
     rng = np.random.default_rng(71)
     if kind == "uniform":
@@ -615,8 +612,8 @@ def test_each_cce_gain_is_the_players_average_external_regret_within_its_bound(
         base = np.zeros(shape)
     game = Game((base + offset) * 2.0**exponent)
     iters = 1500
-    result = self_play(game, algo, iters=iters, log_every=250, col_algo=col_algo)
-    row_utilities, col_utilities, values = played_utilities(game, algo, col_algo, iters)
+    result = self_play(game, algo, iters=iters, log_every=250)
+    row_utilities, col_utilities, values = played_utilities(game, algo, iters)
     tol = regret_tol(game, iters)
 
     # (a) At the final joint each CCE gain is that player's average regret.
@@ -630,10 +627,10 @@ def test_each_cce_gain_is_the_players_average_external_regret_within_its_bound(
         assert abs(point.cce_eps - max(0.0, *regrets)) <= tol
     # (c) And after every round each player's regret is within its own bound.
     t = np.arange(1, iters + 1)
-    for rule, k, utilities, own in ((algo, game.rows, row_utilities, values),
-                                    (col_algo, game.cols, col_utilities, -values)):
-        excess = running_regrets(utilities, own) - regret_bound(game, rule, k, iters, t)
-        assert excess.max() <= bound_slack(game), (rule, k, int(np.argmax(excess)) + 1)
+    for k, utilities, own in ((game.rows, row_utilities, values),
+                              (game.cols, col_utilities, -values)):
+        excess = running_regrets(utilities, own) - regret_bound(game, algo, k, iters, t)
+        assert excess.max() <= bound_slack(game), (k, int(np.argmax(excess)) + 1)
 
 
 @pytest.mark.parametrize("offset", [1e12, -1e12])
@@ -699,14 +696,6 @@ def test_average_gap_shrinks_with_horizon():
         [cce_gap(self_play(g, Algo.REGRET_MATCHING, iters=4000).empirical_joint, g).epsilon for g in games]
     )
     assert long <= short
-
-
-def test_mixed_algorithm_pairing_runs():
-    result = self_play(
-        PENNIES, Algo.REGRET_MATCHING, iters=2000, col_algo=Algo.MULTIPLICATIVE_WEIGHTS
-    )
-    for point in result.trajectory:
-        assert point.nash_eps <= 2.0 * point.cce_eps + 1e-9
 
 
 # --- trajectory CSV -----------------------------------------------------------------
