@@ -415,24 +415,38 @@ def reference_run(game, algo, iters, seed, averaging, log_every=1000):
 
 
 def reference_game(name):
+    """A game named ``[ties |fortran ]RxC[ *scale]``: uniform payoffs in
+    [-1, 1], or {-1, 0, 1} ties, or uniform in Fortran order, then times the
+    scale if one is given."""
     rng = np.random.default_rng(53)
-    if name == "ties 5x7":  # exact-zero regrets, which RM+ plays as they are
-        return Game(rng.integers(-1, 2, size=(5, 7)).astype(float))
-    if name == "fortran 5x7":
-        return Game(np.asfortranarray(rng.uniform(-1.0, 1.0, size=(5, 7))))
-    shape = tuple(int(n) for n in name.split("x"))
-    return Game(rng.uniform(-1.0, 1.0, size=shape))
+    name, _, scale = name.partition(" *")
+    kind, _, shape = name.rpartition(" ")
+    shape = tuple(int(n) for n in shape.split("x"))
+    if kind == "ties":  # exact-zero regrets, which RM+ plays as they are
+        payoff = rng.integers(-1, 2, size=shape).astype(float)
+    elif kind == "fortran":
+        payoff = np.asfortranarray(rng.uniform(-1.0, 1.0, size=shape))
+    else:
+        payoff = rng.uniform(-1.0, 1.0, size=shape)
+    return Game(payoff * float(scale) if scale else payoff)
 
 
 @pytest.mark.parametrize("averaging", list(Averaging))
 # 63, 64 and 65 rounds end inside, at and just past the first block of 64;
-# 2,100 rounds end inside the 33rd.  1×k and k×1 games give one player a
-# single action.  In 5×13 and 13×5 each player runs on its own vectors.
+# 2,100 rounds end inside the 33rd, and 1 round is a single play.  1×k and
+# k×1 games give one player a single action.  In non-square games each player
+# runs on its own vectors; in square ones one rule runs both players' rows,
+# so those repeat the block edges, ties and scales.  Payoffs scaled by 1e-300
+# and 1e300 run the rules at the ends of the double range.
 @pytest.mark.parametrize("game, iters", [
     ("5x7", 63), ("5x7", 64), ("5x7", 65), ("5x7", 300),
     ("5x7", 2100), ("1x6", 2100), ("6x1", 2100),
     ("ties 5x7", 300), ("1x1", 65), ("fortran 5x7", 300),
     ("5x13", 300), ("13x5", 300), ("10x10", 300),
+    ("1x1", 1), ("10x10", 1), ("10x10", 64), ("10x10", 65),
+    ("2x2", 300), ("3x7", 300), ("7x3", 300), ("30x40", 300), ("50x50", 300),
+    ("ties 10x10", 300), ("5x7 *1e-300", 300), ("5x7 *1e300", 300),
+    ("10x10 *1e-300", 300), ("10x10 *1e300", 300),
 ])
 @pytest.mark.parametrize("algo", list(Algo))
 def test_self_play_matches_the_public_learner_api_bitwise(algo, game, iters, averaging):
